@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-fast profile shards parallel interconnect treetop trace serve soak chaos examples gallery audit clean
+.PHONY: install test bench bench-fast profile shards parallel interconnect treetop trace serve soak chaos perfbench examples gallery audit clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -52,6 +52,9 @@ soak:
 
 chaos:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_chaos.py
+
+perfbench:
+	python3 perfbench/run.py --workload replay_locality --seed 1 --seconds 40 --trace 1
 
 examples:
 	$(PYTHON) examples/quickstart.py

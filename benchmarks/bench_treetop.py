@@ -6,7 +6,7 @@ nominal tree in on-chip SRAM, so every path access streams only the
 bottom ``L + 1 - k`` bucket-levels over the pins.  This benchmark runs
 the PrORAM scheme on the 80%-locality synthetic mix for
 ``k in {0, 2, 4, 6}`` under both interconnect models and reports the
-mean demand-path read latency (the ``path_read`` phase per pipeline
+mean demand-path read latency (the ``path_read`` phase cycles per ORAM
 request).
 
 The measured bank is one *shard* of a sharded deployment -- a 32 MB slice
@@ -81,16 +81,16 @@ def run(trace, dram_model: str, treetop: int) -> dict:
     system = SecureSystem.build(SCHEME, trace.footprint_blocks, config)
     result = system.run(trace)
     system.backend.oram.check_invariants()
-    pipeline = system.backend.pipeline
     interconnect = system.backend.interconnect
-    mean_path_read = pipeline.phase_cycles["path_read"] / pipeline.requests
+    requests = result.demand_requests + result.prefetch_requests + result.write_accesses
+    mean_path_read = result.extra["phase_path_read_cycles"] / requests
     summary = interconnect.summary()
     row = {
         "dram_model": dram_model,
         "treetop_levels": treetop,
         "offchip_levels": interconnect.offchip_levels,
         "cycles": result.cycles,
-        "pipeline_requests": pipeline.requests,
+        "oram_requests": requests,
         "mean_path_read_cycles": round(mean_path_read, 2),
         "nominal_path_cycles": interconnect.path_cycles,
         "treetop_hits": int(summary["treetop_hits"]),

@@ -1,4 +1,4 @@
-"""The ORAM controller layer: one protocol, one pipeline, many schemes.
+"""The ORAM controller layer: one protocol, many schemes.
 
 Historically every ORAM scheme in this repository re-implemented its own
 access loop and ``ORAMBackend._perform_access`` was welded to
@@ -14,9 +14,6 @@ memory controller drives it*:
 * :mod:`repro.controller.mixins` -- the stash/eviction/placement logic
   that used to be duplicated across the scheme zoo, hoisted into shared
   mixins;
-* :mod:`repro.controller.pipeline` -- the explicit access-phase pipeline
-  (PosMap -> PathRead -> Remap -> Writeback) the memory backend executes
-  per request, with per-phase cycle and fault accounting;
 * :mod:`repro.controller.sharded` -- the channel-interleaved
   :class:`ShardedORAMBank` that fans requests out over N independent
   scheme instances behind the single :class:`MemoryBackend` interface
@@ -30,26 +27,14 @@ from repro.controller.mixins import (
     GreedyWritebackMixin,
     SharedLeafMixin,
 )
-from repro.controller.pipeline import (
-    AccessPipeline,
-    PathReadPhase,
-    PosMapPhase,
-    RemapPhase,
-    WritebackPhase,
-)
 from repro.controller.scheme import ORAMScheme, SCHEME_FACTORIES, build_scheme
 
 __all__ = [
-    "AccessPipeline",
     "BoundedDrainMixin",
     "DeepestPlacementMixin",
     "GreedyWritebackMixin",
     "ORAMScheme",
-    "PathReadPhase",
-    "PosMapPhase",
-    "RemapPhase",
     "SCHEME_FACTORIES",
     "SharedLeafMixin",
-    "WritebackPhase",
     "build_scheme",
 ]

@@ -2,12 +2,12 @@
 
 Every oblivious-memory construction in this repository -- Path ORAM, Ring
 ORAM, the Shi et al. binary-tree ORAM, and the Goldreich-Ostrovsky
-square-root ORAM -- implements this protocol, so the controller pipeline,
+square-root ORAM -- implements this protocol, so the controller's access path,
 the sharded bank, the parity suite, and ``fsck`` can drive any of them
 without knowing which one they hold.
 
-The protocol splits one oblivious access into the two halves the paper's
-pipeline needs (everything between them runs with the accessed blocks
+The protocol splits one oblivious access into the two halves the
+controller needs (everything between them runs with the accessed blocks
 on-chip, which is where merge/break remapping happens):
 
 * :meth:`ORAMScheme.begin_access` -- fetch a (super) block: position

@@ -3,7 +3,7 @@
 A :class:`ShardedORAMBank` puts ``N`` independent ORAM controller
 instances -- each a complete :class:`~repro.memory.oram_backend.ORAMBackend`
 with its own tree, stash, position-map hierarchy, super-block scheme, and
-access pipeline -- behind the single
+phase counters -- behind the single
 :class:`~repro.memory.backend.MemoryBackend` interface the simulators
 drive.  Think memory channels: block addresses are interleaved
 ``shard = addr % N``, ``local = addr // N``, so consecutive blocks land on
@@ -65,7 +65,7 @@ def snapshot_shard_stats(shard: ORAMBackend) -> dict:
         "stash_soft_overflows": shard.oram.stash_soft_overflows,
         "posmap_lookups": hierarchy.lookups,
         "posmap_cache_hits": hierarchy.cache_hits,
-        "phase_cycles": shard.pipeline.breakdown(),
+        "phase_cycles": dict(shard.phase_cycles),
         "busy_until": shard.busy_until,
     }
 
@@ -87,7 +87,7 @@ class ShardedORAMBank(MemoryBackend):
         self.shards: List[ORAMBackend] = list(shards)
         self.num_shards = len(self.shards)
         for index, shard in enumerate(self.shards):
-            # Spans emitted by a channel's pipeline carry the channel index
+            # Spans emitted by a channel carry the channel index
             # and the *global* address (local * stride + index).
             shard.shard_index = index
             shard.addr_stride = self.num_shards
@@ -367,10 +367,10 @@ class ShardedORAMBank(MemoryBackend):
         return hits / lookups
 
     def phase_breakdown(self) -> dict:
-        """Per-phase cycle attribution summed over every shard's pipeline."""
+        """Per-phase cycle attribution summed over every shard."""
         total: dict = {}
         for shard in self.shards:
-            for name, cycles in shard.pipeline.breakdown().items():
+            for name, cycles in shard.phase_cycles.items():
                 total[name] = total.get(name, 0) + cycles
         return total
 

@@ -57,11 +57,6 @@ class BackendStats:
     #: background evictions forced by the degradation path (stash pressure)
     forced_evictions: int = 0
 
-    @property
-    def total_accesses(self) -> int:
-        """The paper's energy proxy: every access the memory performs."""
-        return self.memory_accesses + self.dummy_accesses
-
 
 class MemoryBackend(ABC):
     """Timing + functional model of everything behind the LLC."""

@@ -21,10 +21,9 @@ requests in parallel" (section 2.6).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.config import DRAMConfig, ORAMConfig
-from repro.controller.pipeline import AccessPipeline
 from repro.faults.injector import TransientReadError
 from repro.memory.backend import DemandResult, MemoryBackend
 from repro.memory.interconnect import build_interconnect
@@ -38,10 +37,11 @@ from repro.utils.rng import DeterministicRng
 class ORAMBackend(MemoryBackend):
     """Path ORAM behind the LLC, with a pluggable super block scheme.
 
-    Tracing contract: ``recorder`` is ``None`` by default and the access
-    pipeline checks exactly that before building a span, so a backend with
-    tracing disabled performs the identical operations (and RNG draws) as
-    one built before tracing existed -- the golden ``SimResult`` pins this.
+    Tracing contract: ``recorder`` is ``None`` by default and
+    :meth:`_perform_access` checks exactly that before building a span, so
+    a backend with tracing disabled performs the identical operations (and
+    RNG draws) as one built before tracing existed -- the golden
+    ``SimResult`` pins this.
     ``shard_index`` labels spans when the backend serves as a channel of a
     :class:`~repro.controller.sharded.ShardedORAMBank`.
 
@@ -89,7 +89,7 @@ class ORAMBackend(MemoryBackend):
         )
         self._llc_contains: Callable[[int], bool] = lambda addr: False
         #: optional span sink (:mod:`repro.observability`); ``None`` is the
-        #: zero-cost disabled state the pipeline fast-paths on
+        #: zero-cost disabled state every access checks for
         self.recorder = None
         #: channel index when owned by a ShardedORAMBank (spans carry it)
         self.shard_index = 0
@@ -104,11 +104,14 @@ class ORAMBackend(MemoryBackend):
         self.oram.populate()
         self._last_request_cycle = 0
         # The threshold listener never changes after construction; caching
-        # it avoids a per-access virtual call in the pipeline.
+        # it avoids a per-access virtual call.
         self._policy_listener = scheme.threshold_listener()
-        #: the explicit phase pipeline executing every access (PosMap ->
-        #: PathRead -> Remap -> Writeback) with per-phase accounting
-        self.pipeline = AccessPipeline(self)
+        #: phase name -> cycles attributed to it over every access, plus
+        #: injected fault latency under ``fault`` (it belongs to no phase).
+        #: ``remap`` stays 0: merge/break runs on-chip in the read's shadow.
+        self.phase_cycles: Dict[str, int] = dict.fromkeys(
+            ("posmap", "path_read", "remap", "writeback", "fault"), 0
+        )
         #: optional callback(occupancy) sampled after every demand access
         #: (the stash-occupancy study hooks in here)
         self.stash_sampler: Optional[Callable[[int], None]] = None
@@ -135,8 +138,8 @@ class ORAMBackend(MemoryBackend):
         """Install (or remove, with ``None``) a span recorder.
 
         Disabled recorders (``enabled`` false, e.g. ``NullRecorder``) are
-        normalized to ``None`` so the pipeline keeps its single
-        ``is None`` fast-path check.
+        normalized to ``None`` so every access keeps its single
+        ``is None`` check.
         """
         if recorder is not None and not getattr(recorder, "enabled", True):
             recorder = None
@@ -257,17 +260,118 @@ class ORAMBackend(MemoryBackend):
     def _perform_access(
         self, addr: int, start: int, run_scheme: bool, kind: str = "demand"
     ) -> tuple:
-        """Shared functional + timing core of read/write/prefetch accesses.
+        """One full oblivious access, shared by read/write/prefetch requests.
 
-        Delegates to the explicit phase pipeline (PosMap -> PathRead ->
-        Remap -> Writeback); the scheme hook (Algorithms 1 and 2) runs in
-        the remap phase, between the path read and the path write-back,
-        while every member of the super block is physically in the stash.
-        ``kind`` only labels the span when tracing is enabled.
+        The paper's access in order: fault hook, stash drain and relief
+        (section 2.4), PosMap walk (section 2.3), path read, the scheme's
+        merge/break over the fetched members while every one of them is
+        physically in the stash (Algorithms 1 and 2), path write-back.
+        Cycles land in ``phase_cycles``; ``kind`` only labels the span
+        when tracing is enabled.
 
         Returns (completion_cycle, FetchOutcome-or-None).
         """
-        return self.pipeline.execute(addr, start, run_scheme, kind)
+        oram = self.oram
+        stats = self.stats
+        scheme = self.scheme
+        interconnect = self.interconnect
+        path_cycles = interconnect.path_cycles
+        recorder = self.recorder
+        if recorder is not None:
+            scheme_stats = scheme.stats
+            merges_before = scheme_stats.merges
+            breaks_before = scheme_stats.breaks
+            retries_before = stats.fault_retries
+        # ----------------------------------------------------------- posmap
+        fault_delay = self._fault_delay() if self.injector is not None else 0
+        evictions = oram.drain_stash()
+        if self._stash_soft_limit is not None:
+            evictions += self._relieve_stash()
+        stats.dummy_accesses += evictions
+        extra = self.posmap_hierarchy.lookup(addr)
+        stats.posmap_accesses += extra
+        # -------------------------------------------------------- path read
+        members = scheme.members_for(addr)
+        blocks = oram.begin_access(members)
+        # Background evictions and PosMap paths are serialized at the
+        # public per-path cost (their leaves are uniform draws or part of
+        # the recursion's pattern, never streamed).  The demand path issues
+        # after them and is the one access the interconnect streams
+        # bucket-by-bucket, on the leaf begin_access parked for the
+        # write-back; its read and write-back share one full-path pass.
+        serialized = evictions + extra
+        issue = start + serialized * path_cycles
+        streamed = interconnect.path_completion(oram._pending_writeback, issue) - issue
+        # ------------------------------------------------------------ remap
+        outcome = None
+        if run_scheme:
+            # Members whose copies are already LLC-resident are not "coming
+            # from ORAM" for the scheme's purposes (Algorithm 2).  The
+            # singleton case (most accesses) skips the comprehension frame.
+            llc_contains = self._llc_contains
+            if len(members) == 1:
+                member = members[0]
+                fetched = {} if llc_contains(member) else {member: blocks[member]}
+            else:
+                fetched = {
+                    member: blocks[member]
+                    for member in members
+                    if not llc_contains(member)
+                }
+            outcome = scheme.process_fetch(addr, members, fetched)
+        # -------------------------------------------------------- writeback
+        oram.finish_access()
+        # ----------------------------------------------------------- timing
+        posmap_cycles = extra * path_cycles
+        writeback_cycles = evictions * path_cycles
+        phase_cycles = self.phase_cycles
+        phase_cycles["posmap"] += posmap_cycles
+        phase_cycles["path_read"] += streamed
+        phase_cycles["writeback"] += writeback_cycles
+        phase_cycles["fault"] += fault_delay
+        if serialized:
+            interconnect.note_untracked(serialized)
+        latency = posmap_cycles + writeback_cycles + streamed + fault_delay
+        completion = start + latency
+        self.busy_until = completion
+        stats.memory_accesses += extra + 1
+        stats.busy_cycles += latency
+        policy = self._policy_listener
+        if policy is not None:
+            if evictions:
+                policy.on_background_eviction(evictions)
+            # A same-cycle burst (sharded batches) may land elapsed == 0;
+            # the policy guards that boundary itself (Equation 1).
+            policy.on_request(
+                busy_cycles=latency,
+                elapsed_cycles=completion - self._last_request_cycle,
+            )
+        self._last_request_cycle = completion
+        if recorder is not None:
+            recorder.record_span(
+                {
+                    "seq": recorder.next_seq(),
+                    "kind": kind,
+                    "addr": addr * self.addr_stride + self.shard_index,
+                    "shard": self.shard_index,
+                    "start": start,
+                    "end": completion,
+                    "phases": {
+                        "posmap": posmap_cycles,
+                        "path_read": streamed,
+                        "remap": 0,
+                        "writeback": writeback_cycles,
+                    },
+                    "fault_delay": fault_delay,
+                    "retries": stats.fault_retries - retries_before,
+                    "evictions": evictions,
+                    "posmap_extra": extra,
+                    "stash": len(oram.stash),
+                    "merges": scheme_stats.merges - merges_before,
+                    "breaks": scheme_stats.breaks - breaks_before,
+                }
+            )
+        return completion, outcome
 
     # ----------------------------------------------------------------- access
     def demand_access(self, addr: int, now: int, is_write: bool) -> DemandResult:

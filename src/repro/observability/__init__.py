@@ -3,7 +3,7 @@
 The subsystem has four parts (see DESIGN.md section 8):
 
 * **Spans** (:mod:`.spans`) -- the per-access record schema: one span per
-  trip through the access pipeline, carrying cycle timestamps, per-phase
+  ORAM access, carrying cycle timestamps, per-phase
   attribution, stash occupancy, super-block merge/break counts, and
   fault/retry outcomes.
 * **Recorders** (:mod:`.recorder`) -- span sinks.  ``None`` /

@@ -64,11 +64,11 @@ def collect_system(system, registry: Optional[MetricsRegistry] = None) -> Metric
         registry.counter("oram.real_path_accesses").set(oram.real_accesses)
         registry.counter("oram.dummy_path_accesses").set(oram.dummy_accesses)
 
-    # Per-phase pipeline attribution: a single controller exposes its
-    # pipeline directly; a sharded bank sums over its channels.
-    pipeline = getattr(backend, "pipeline", None)
-    if pipeline is not None:
-        for name, cycles in pipeline.breakdown().items():
+    # Per-phase cycle attribution: a single controller exposes its
+    # counters directly; a sharded bank sums over its channels.
+    phase_cycles = getattr(backend, "phase_cycles", None)
+    if phase_cycles is not None:
+        for name, cycles in phase_cycles.items():
             registry.counter(f"pipeline.phase_{name}_cycles").set(cycles)
     elif hasattr(backend, "phase_breakdown"):
         for name, cycles in backend.phase_breakdown().items():
@@ -221,8 +221,8 @@ def collect_trace(
 
     Produces per-kind span counters (``trace.spans.demand`` ...), a
     per-kind latency :class:`CycleHistogram`, per-phase cycle counters
-    matching the pipeline breakdown, and a stash-occupancy histogram --
-    the summary the ``repro trace`` report prints.
+    matching the backend's ``phase_cycles``, and a stash-occupancy
+    histogram -- the summary the ``repro trace`` report prints.
     """
     registry = registry if registry is not None else MetricsRegistry()
     for record in recorder.records:

@@ -1,6 +1,6 @@
 """Trace recorders: the sink side of the tracing subsystem.
 
-A recorder receives span and event dicts from the access pipeline (see
+A recorder receives span and event dicts from every ORAM access (see
 :mod:`repro.observability.spans` for the schema).  Three implementations:
 
 * :class:`NullRecorder` -- the disabled state.  Components never consult
@@ -50,7 +50,7 @@ class InMemoryRecorder(TraceRecorder):
     """Collects raw record dicts in memory.
 
     ``next_seq`` hands out the global span sequence numbers; the emitting
-    pipeline stamps them so that interleaved shards share one ordering.
+    backend stamps them so that interleaved shards share one ordering.
     """
 
     enabled = True
@@ -89,7 +89,7 @@ class InMemoryRecorder(TraceRecorder):
     def phase_totals(self) -> Dict[str, int]:
         """Sum of per-phase cycles over all spans (+ ``fault`` delays).
 
-        Mirrors the shape of ``AccessPipeline.breakdown()`` so traces can
+        Mirrors the shape of ``ORAMBackend.phase_cycles`` so traces can
         be reconciled against ``SimResult.extra`` phase accounting.
         """
         totals: Dict[str, int] = {}

@@ -1,16 +1,15 @@
 """Span schema for per-access traces.
 
-One **span** describes one complete trip through the
-:class:`~repro.controller.pipeline.AccessPipeline`: which request kind
-entered (demand / prefetch / writeback / periodic dummy), which shard
-served it, the cycle interval it occupied, how many cycles each pipeline
-phase contributed, and the side effects it produced (super-block merges
+One **span** describes one complete ORAM access
+(``ORAMBackend._perform_access``): which request kind entered (demand /
+prefetch / writeback / periodic dummy), which shard served it, the cycle
+interval it occupied, how many cycles each access phase contributed, and the side effects it produced (super-block merges
 and breaks, fault retries, stash occupancy after the access).
 
 The hot path emits spans as plain dicts -- building a dataclass per
 access would roughly double the allocation cost of tracing -- so this
 module is the *schema* authority: :data:`SPAN_FIELDS` documents every
-key a pipeline span carries, and :class:`Span` is the typed wrapper used
+key an access span carries, and :class:`Span` is the typed wrapper used
 when reading traces back (CLI reports, tests, offline analysis).
 
 Recorders also carry **events**: non-access records such as run start /
@@ -23,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Tuple
 
-#: Every key of a pipeline span, in schema order.  ``phases`` maps phase
-#: name -> cycles for exactly the phases the pipeline ran (posmap,
-#: path_read, remap, writeback).
+#: Every key of an access span, in schema order.  ``phases`` maps phase
+#: name -> cycles for the four phases of the access (posmap, path_read,
+#: remap, writeback).
 SPAN_FIELDS: Tuple[str, ...] = (
     "seq",          # global emission index (0-based, per recorder)
     "kind",         # "demand" | "prefetch" | "writeback"
@@ -46,7 +45,7 @@ SPAN_FIELDS: Tuple[str, ...] = (
 
 @dataclass
 class Span:
-    """Typed view of one pipeline span (used on the *read* side)."""
+    """Typed view of one access span (used on the *read* side)."""
 
     seq: int
     kind: str

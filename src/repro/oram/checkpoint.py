@@ -357,8 +357,8 @@ def restore_oram(
 #
 # A :class:`~repro.memory.oram_backend.ORAMBackend` is more than its ORAM:
 # the merged SimResult also draws on the backend's counters, the scheme's
-# statistics, the PosMap hierarchy's cache accounting, the pipeline's
-# per-phase attribution, and ``busy_until``.  A shard worker checkpoints
+# statistics, the PosMap hierarchy's cache accounting, the per-phase
+# cycle attribution, and ``busy_until``.  A shard worker checkpoints
 # all of it so a respawned worker resumes accounting exactly where the
 # dead one stopped.  What is deliberately *not* captured (and therefore
 # resets on recovery, exactly like a rebooted device): RNG state, the
@@ -421,8 +421,7 @@ def dump_backend_state(backend, runtime_state: Optional[dict] = None) -> str:
                 "cache_hits": hierarchy.cache_hits,
             },
             "stash_max_occupancy": backend.oram.stash.max_occupancy,
-            "phase_cycles": backend.pipeline.breakdown(),
-            "pipeline_requests": backend.pipeline.requests,
+            "phase_cycles": backend.phase_cycles,
             "interconnect": backend.interconnect.state_dict(),
         },
         "runtime": runtime_state or {},
@@ -470,9 +469,9 @@ def restore_backend_state(backend, payload: str) -> dict:
         ]
         hierarchy.cache_hits = saved["posmap_hierarchy"]["cache_hits"]
         backend.oram.stash.max_occupancy = saved["stash_max_occupancy"]
-        for name, cycles in saved["phase_cycles"].items():
-            backend.pipeline.phase_cycles[name] = cycles
-        backend.pipeline.requests = saved["pipeline_requests"]
+        # Older documents also carry a ``pipeline_requests`` count; it
+        # duplicated the backend's request counters and is ignored.
+        backend.phase_cycles.update(saved["phase_cycles"])
         # Older checkpoints predate the interconnect; its scheduler state
         # then simply resets (flat has none, so only channel-model bus /
         # bank timing and occupancy counters are at stake).

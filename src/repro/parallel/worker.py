@@ -2,7 +2,7 @@
 
 A worker owns exactly one channel of the bank -- a complete
 :class:`~repro.memory.oram_backend.ORAMBackend` with its own tree, stash,
-position-map hierarchy, and access pipeline -- rebuilt inside the child
+position-map hierarchy, and phase counters -- rebuilt inside the child
 process from the :class:`~repro.parallel.protocol.ShardSpec` (specs are
 data; live backends never cross a process boundary).  It drains command
 tuples from its queue and pushes reply tuples back; the shapes are

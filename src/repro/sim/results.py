@@ -5,6 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+#: ``extra`` keys that describe the configuration rather than count events;
+#: a measurement window keeps their final values instead of differencing.
+_CONFIG_EXTRA_KEYS = frozenset({"num_shards", "interconnect_channels"})
+
 
 @dataclass
 class SimResult:
@@ -90,8 +94,11 @@ class SimResult:
     def delta(final: "SimResult", start: "SimResult") -> "SimResult":
         """Measurement-window result: ``final`` minus a warmup snapshot.
 
-        Additive counters are differenced; watermark/rate fields keep the
-        final values.  Used to discard cache/ORAM warmup so short traces
+        Additive counters are differenced -- including every ``extra``
+        counter (phase cycles, faults, interconnect occupancy), so the
+        window's ``phase_*_cycles`` still sum to its ``busy_cycles``;
+        watermark/rate fields and configuration keys keep the final
+        values.  Used to discard cache/ORAM warmup so short traces
         measure steady-state behaviour like the paper's long runs.
         """
         additive = [
@@ -123,7 +130,12 @@ class SimResult:
             setattr(out, name, getattr(final, name) - getattr(start, name))
         out.stash_max_occupancy = final.stash_max_occupancy
         out.posmap_cache_hit_rate = final.posmap_cache_hit_rate
-        out.extra = dict(final.extra)
+        out.extra = {
+            name: value
+            if name in _CONFIG_EXTRA_KEYS
+            else value - start.extra.get(name, 0)
+            for name, value in final.extra.items()
+        }
         return out
 
     def summary(self) -> str:

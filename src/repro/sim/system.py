@@ -446,7 +446,7 @@ class SecureSystem:
             # Robustness counters ride in ``extra`` so the pinned golden
             # result schema (and every fault-free consumer) is untouched.
             result.extra["stash_soft_overflows"] = backend.oram.stash_soft_overflows
-            for name, cycles in backend.pipeline.breakdown().items():
+            for name, cycles in backend.phase_cycles.items():
                 result.extra[f"phase_{name}_cycles"] = cycles
             if backend.injector is not None or backend.resilience is not None:
                 result.extra["transient_faults"] = stats.transient_faults

@@ -18,7 +18,7 @@ import json
 import pytest
 
 from repro.analysis.experiments import experiment_config
-from repro.faults import FaultConfig, FaultInjector
+from repro.faults import FaultConfig, FaultInjector, ResilienceConfig
 from repro.observability import (
     CycleHistogram,
     InMemoryRecorder,
@@ -185,11 +185,43 @@ class TestTracedRuns:
         _, traced = build_and_run(accesses=1500, recorder=InMemoryRecorder())
         assert dataclasses.asdict(untraced) == dataclasses.asdict(traced)
 
-    def test_spans_reconcile_with_sim_result(self):
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize("faults", [False, True], ids=["nofault", "faults"])
+    @pytest.mark.parametrize("treetop", [0, 3])
+    @pytest.mark.parametrize("dram_model", ["flat", "channel"])
+    def test_spans_reconcile_with_sim_result(
+        self, dram_model, treetop, faults, num_shards
+    ):
+        config = experiment_config(treetop_levels=treetop)
+        if dram_model == "channel":
+            config = dataclasses.replace(
+                config,
+                dram=dataclasses.replace(config.dram, model="channel", num_channels=4),
+            )
+        injector = resilience = None
+        if faults:
+            injector = FaultInjector(
+                FaultConfig(
+                    seed=5, transient_rate=0.02, delay_rate=0.05, delay_cycles=400
+                )
+            )
+            # A low stash watermark forces background evictions, so the
+            # writeback phase carries cycles too.
+            resilience = ResilienceConfig(stash_soft_fraction=0.01)
+        trace = locality_mix_trace(0.8, footprint_blocks=4096, accesses=1500)
+        system = SecureSystem.build(
+            "dyn",
+            trace.footprint_blocks,
+            config,
+            fault_injector=injector,
+            resilience=resilience,
+            num_shards=num_shards,
+        )
         recorder = InMemoryRecorder()
-        system, result = build_and_run(accesses=1500, recorder=recorder)
+        system.attach_recorder(recorder)
+        result = system.run(trace)
         spans = list(recorder.spans())
-        # One span per pipeline trip: demand misses + dirty write-backs.
+        # One span per ORAM access: demand misses + dirty write-backs.
         assert len(spans) == result.demand_requests + result.write_accesses
         kinds = {span.kind for span in spans}
         assert "demand" in kinds
@@ -201,9 +233,11 @@ class TestTracedRuns:
         sequences = [span.seq for span in spans]
         assert sequences == sorted(sequences)
         assert len(set(sequences)) == len(sequences)
+        assert (totals["fault"] > 0) == faults
+        assert (totals["writeback"] > 0) == faults
         for span in spans:
             assert span.end - span.start == sum(span.phases.values()) + span.fault_delay
-            assert span.shard == 0
+            assert 0 <= span.shard < num_shards
         assert sum(span.merges for span in spans) == result.merges
         assert sum(span.breaks for span in spans) == result.breaks
         events = list(recorder.events())

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.analysis.experiments import experiment_config
 from repro.sim.results import SimResult
+from repro.sim.system import SecureSystem
+from repro.workloads.synthetic import locality_mix_trace
 
 
 def make_result(cycles=1000, **kwargs):
@@ -73,6 +76,44 @@ class TestDelta:
         assert delta.merges == 3
         # Watermarks keep the final value.
         assert delta.stash_max_occupancy == 42
+
+    def test_delta_differences_extra_counters_but_not_config_keys(self):
+        start = make_result(cycles=100)
+        start.extra = {
+            "phase_posmap_cycles": 40,
+            "num_shards": 2,
+            "interconnect_channels": 4,
+            "interconnect_row_hits": 5,
+        }
+        final = make_result(cycles=300)
+        final.extra = {
+            "phase_posmap_cycles": 100,
+            "num_shards": 2,
+            "interconnect_channels": 4,
+            "interconnect_row_hits": 9,
+            "fault_retries": 3,
+        }
+        delta = SimResult.delta(final, start)
+        # Counters cover the window; configuration keys keep their values.
+        assert delta.extra == {
+            "phase_posmap_cycles": 60,
+            "num_shards": 2,
+            "interconnect_channels": 4,
+            "interconnect_row_hits": 4,
+            "fault_retries": 3,
+        }
+
+    def test_warmup_phase_cycles_cover_only_the_measured_window(self):
+        trace = locality_mix_trace(0.8, footprint_blocks=4096, accesses=3000)
+        system = SecureSystem.build("dyn", trace.footprint_blocks, experiment_config())
+        result = system.run(trace, warmup_entries=1200)
+        phases = sum(
+            value
+            for name, value in result.extra.items()
+            if name.startswith("phase_")
+        )
+        assert 0 < result.busy_cycles < system.backend.stats.busy_cycles
+        assert phases == result.busy_cycles
 
     def test_summary_mentions_key_counters(self):
         text = make_result(llc_misses=9, dummy_accesses=2).summary()

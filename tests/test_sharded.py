@@ -176,7 +176,7 @@ class TestAggregateViews:
         breakdown = bank.phase_breakdown()
         for name in ("posmap", "path_read", "writeback"):
             assert breakdown[name] == sum(
-                shard.pipeline.breakdown()[name] for shard in bank.shards
+                shard.phase_cycles[name] for shard in bank.shards
             )
 
 
