@@ -158,7 +158,6 @@ def replay_issued_schedule(
     static_sbsize: Optional[int] = None,
     workload: str = "serve",
     parallel: bool = False,
-    checkpoint_dir: Optional[str] = None,
 ) -> SimResult:
     """Replay a serving front end's issued-access schedule.
 
@@ -188,7 +187,6 @@ def replay_issued_schedule(
         config,
         num_shards,
         static_sbsize=static_sbsize,
-        checkpoint_dir=checkpoint_dir,
     )
     try:
         return runtime.run(issued, workload=workload)

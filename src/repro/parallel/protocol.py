@@ -1,10 +1,12 @@
-"""Wire protocol between the parallel front-end and its shard workers.
+"""Wire protocol between the parallel front-end and its shard servers.
 
 Everything that crosses a process boundary is defined here: the
 :class:`ShardSpec` a worker is spawned with, and the shapes of the
-command/reply tuples exchanged over the two ``multiprocessing`` queues.
-Tuples (not classes) cross the queues so a reply is cheap to pickle and
-the protocol is trivially versionable by shape.
+command/reply tuples a :class:`~repro.parallel.worker.ShardServer`
+handles -- over the two ``multiprocessing`` queues of a worker process,
+or synchronously for an in-process (quarantined) shard.  Tuples (not
+classes) cross the queues so a reply is cheap to pickle and the protocol
+is trivially versionable by shape.
 
 Commands (front-end -> worker)::
 
@@ -12,8 +14,12 @@ Commands (front-end -> worker)::
     ("drain", seq, now)      # barrier: finalize the backend at `now`
     ("stats", seq)           # sample a counter snapshot
     ("fsck", seq)            # audit the shard's ORAM invariants
-    ("checkpoint", seq)      # force a checkpoint outside the cadence
-    ("throttle", None, flag) # degraded-mode switch; no reply
+    ("checkpoint", seq)      # checkpoint now (re-admission of an
+                             # in-process shard sends it before respawn)
+    ("throttle", None, degraded, padded)
+                             # health flags; no reply.  degraded throttles
+                             # merges and prefetcher, padded adds one dummy
+                             # path access after every request
     ("hang", None, seconds)  # chaos hook: stall the command loop; no reply
     ("shutdown",)
 

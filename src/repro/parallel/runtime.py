@@ -11,17 +11,19 @@ Shards share nothing by construction (own tree, stash, RNG fork), so the
 cross-process cut is free of coherence traffic and the merged result is
 bit-identical to serial for any worker count.
 
-Failure model: workers checkpoint their whole backend after every
-``checkpoint_every`` batches *before* acknowledging (see
-:mod:`repro.parallel.worker`).  The front-end detects a dead worker
-(liveness poll while waiting on its reply queue), respawns it from the
-latest checkpoint, re-serves acknowledgements the crash swallowed out of
-the checkpoint's reply window, and replays only the batches the
-checkpoint had not yet captured.  Every demand access is therefore
-applied and counted exactly once -- "zero lost writes" in a timing
-simulator means the merged accounting is indistinguishable from a run
-that never crashed (completions of replayed batches may differ, since a
-recovered shard draws a fresh deterministic RNG stream).
+Failure model: every shard is a :class:`~repro.parallel.worker.ShardServer`
+that checkpoints its whole backend after every ``checkpoint_every``
+batches *before* acknowledging.  The front-end detects a dead worker
+(liveness poll while waiting on its reply queue) and restarts the shard
+from the latest checkpoint (:meth:`ParallelShardRuntime._restart`): the
+restored server re-serves acknowledgements the crash swallowed out of
+the checkpoint's reply window, and the batches the checkpoint had not yet
+captured are replayed through the normal command path.  Every demand
+access is therefore applied and counted exactly once -- "zero lost
+writes" in a timing simulator means the merged accounting is
+indistinguishable from a run that never crashed (completions of replayed
+batches may differ, since a restarted shard draws a fresh deterministic
+RNG stream).
 
 Observability: per-worker queue-depth gauges, batch round-trip latency
 histograms, and restart counters land in a
@@ -30,21 +32,20 @@ histograms, and restart counters land in a
 
 Health control plane (optional): constructed with a
 :class:`~repro.health.HealthPolicy`, the runtime wraps every worker in a
-:class:`~repro.health.CircuitBreaker` and enforces wall-clock deadlines.
-Workers emit mid-batch ``heartbeat`` replies; a worker whose in-flight
-batches make no progress (no ack, no heartbeat) for ``batch_deadline_s``
-is declared *hung*, terminated, and -- like a killed worker -- lands in
-QUARANTINE instead of being respawned immediately.  While quarantined,
-its shard is served by an in-process fallback backend restored from the
-worker's checkpoint, one batch at a time, with one dummy-path access
-padding every request so fallback traffic keeps the uniform-leaf access
-shape.  After the breaker's cooldown the fallback state is checkpointed
-back and a fresh worker is respawned half-open (PROBING, inflight capped
-at 1); enough successful probe batches re-admit it to full pipelining.
-DEGRADED workers (tripped latency window) run with halved inflight and
-their backend's super-block merges / prefetcher throttled via the
-``throttle`` command.  Without a policy, behavior is bit-identical to
-the pre-health runtime.
+:class:`~repro.health.CircuitBreaker` and enforces the policy's
+wall-clock deadlines.  Workers emit mid-batch ``heartbeat`` replies; a
+worker whose in-flight batches make no progress (no ack, no heartbeat)
+for ``batch_deadline_s`` is declared *hung* and terminated.  A dead or
+hung worker lands in QUARANTINE: the restart runs the same server in the
+front-end process instead of a new worker process, one batch at a time.
+Quarantined and probing shards pad every request with one dummy path
+access (the ``throttle`` command's padded flag), so sick-shard traffic
+keeps the uniform-leaf access shape.  After the breaker's cooldown the
+in-process server checkpoints and the shard restarts as a worker process
+half-open (PROBING, in-flight cap 1); enough successful probe batches
+re-admit it to full pipelining.  DEGRADED workers run with halved
+inflight and their backend's super-block merges / prefetcher throttled.
+Without a policy, behavior is bit-identical to the pre-health runtime.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ import multiprocessing
 import os
 import queue as queue_module
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
@@ -61,19 +63,31 @@ from repro.health import HealthControlPlane, HealthPolicy, HealthState
 from repro.observability.metrics import MetricsRegistry
 from repro.parallel.merge import merge_shard_snapshots
 from repro.parallel.protocol import ShardSpec
-from repro.parallel.worker import shard_worker_main
+from repro.parallel.worker import InProcessShard, shard_worker_main
 from repro.sim.results import SimResult
 
 #: liveness-poll interval while waiting on a reply queue (seconds)
 _POLL_S = 0.02
+
+#: health states whose shard pads every request with a dummy path access
+_PADDED = (HealthState.QUARANTINED, HealthState.PROBING)
 
 
 class WorkerFailure(RuntimeError):
     """A shard worker failed beyond what the recovery ladder can heal."""
 
 
+class _WorkerLost(WorkerFailure):
+    """A worker process died or hung; ``reason`` names the breaker event."""
+
+    def __init__(self, message: str, reason: str):
+        super().__init__(message)
+        self.reason = reason
+
+
 class _Worker:
-    """Front-end bookkeeping for one shard worker process."""
+    """Front-end bookkeeping for one shard: a worker process and its
+    queue pair, or an in-process server (``process is None``)."""
 
     def __init__(self, index: int):
         self.index = index
@@ -91,14 +105,9 @@ class _Worker:
         #: last wall-clock instant this worker proved progress (spawn,
         #: send, heartbeat, or any reply) -- the deadline reference point
         self.last_progress = 0.0
-        #: whether the worker process was told to run degraded
-        self.throttled = False
-        # quarantine bookkeeping: the in-process stand-in backend, the
-        # last seq applied to it, and its recent seq -> completions window
-        self.fallback = None
-        self.fallback_seq = -1
-        self.fallback_window: Dict[int, List[int]] = {}
-        #: restart budget exhausted: stay on the fallback, never probe
+        #: (degraded, padded) health flags last sent to the shard
+        self.flags = (False, False)
+        #: restart budget exhausted: stay in-process, never probe
         self.no_probe = False
 
     @property
@@ -145,19 +154,12 @@ class ParallelShardRuntime:
         max_restarts: per-worker respawn budget before giving up.
         metrics: optional shared registry for the per-worker gauges.
         health_policy: enable the health control plane (per-worker
-            circuit breakers, quarantine fallback routing, half-open
-            probing).  Requires ``checkpoint_dir`` -- the fallback path
-            is restored from the worker's checkpoint.  Also supplies
-            defaults for the three enforcement knobs below.
-        batch_deadline_s: wall-clock seconds an in-flight worker may go
-            without progress (ack or heartbeat) before it is declared
-            hung and terminated.  ``None`` takes the policy's value, or
-            disables enforcement when no policy is given; 0 disables.
-        heartbeat_every: completions between mid-batch worker heartbeats
-            (``None``: policy value, or 0 without a policy).
-        join_timeout_s: ``Process.join`` timeout for every lifecycle
-            path -- shutdown, terminate-after-hang, post-mortem join
-            (``None``: policy value, or 5 s without a policy).
+            circuit breakers, in-process quarantine, half-open probing).
+            Requires ``checkpoint_dir`` -- the quarantined shard is
+            restored from the worker's checkpoint.  Also supplies the
+            enforcement knobs ``batch_deadline_s``, ``heartbeat_every``
+            and ``join_timeout_s``; without a policy they are 0 (no
+            deadline), 0 (no heartbeats) and 5 s.
         fault_config: in-worker fault injection (seed salted per shard
             and per respawn); the chaos harness's storm knob.
     """
@@ -177,9 +179,6 @@ class ParallelShardRuntime:
         max_restarts: int = 2,
         metrics: Optional[MetricsRegistry] = None,
         health_policy: Optional[HealthPolicy] = None,
-        batch_deadline_s: Optional[float] = None,
-        heartbeat_every: Optional[int] = None,
-        join_timeout_s: Optional[float] = None,
         fault_config: Optional[FaultConfig] = None,
     ):
         if num_workers < 1:
@@ -190,8 +189,8 @@ class ParallelShardRuntime:
             raise ValueError("batch_size and max_inflight must be positive")
         if health_policy is not None and not checkpoint_dir:
             raise ValueError(
-                "the health control plane needs checkpoint_dir: quarantine "
-                "routing restores the fallback path from worker checkpoints"
+                "the health control plane needs checkpoint_dir: a "
+                "quarantined shard is restored from its worker's checkpoint"
             )
         self.scheme = scheme
         self.footprint_blocks = footprint_blocks
@@ -204,26 +203,17 @@ class ParallelShardRuntime:
         self.max_inflight = max_inflight
         self.max_restarts = max_restarts
         self.registry = metrics if metrics is not None else MetricsRegistry()
-        self.health = (
-            HealthControlPlane(num_workers, health_policy, metrics=self.registry)
-            if health_policy is not None
-            else None
-        )
-        self.join_timeout_s = (
-            join_timeout_s
-            if join_timeout_s is not None
-            else (health_policy.join_timeout_s if health_policy else 5.0)
-        )
-        self.batch_deadline_s = (
-            batch_deadline_s
-            if batch_deadline_s is not None
-            else (health_policy.batch_deadline_s if health_policy else 0.0)
-        )
-        self.heartbeat_every = (
-            heartbeat_every
-            if heartbeat_every is not None
-            else (health_policy.heartbeat_every if health_policy else 0)
-        )
+        self.health = None
+        self.batch_deadline_s = 0.0
+        self.heartbeat_every = 0
+        self.join_timeout_s = 5.0
+        if health_policy is not None:
+            self.health = HealthControlPlane(
+                num_workers, health_policy, metrics=self.registry
+            )
+            self.batch_deadline_s = health_policy.batch_deadline_s
+            self.heartbeat_every = health_policy.heartbeat_every
+            self.join_timeout_s = health_policy.join_timeout_s
         self.fault_config = fault_config
         self._ctx = multiprocessing.get_context()
         self._workers = [_Worker(index) for index in range(num_workers)]
@@ -234,7 +224,7 @@ class ParallelShardRuntime:
                 if os.path.exists(path):
                     os.remove(path)
         for worker in self._workers:
-            self._spawn(worker)
+            self._start(worker)
         self._closed = False
 
     # ------------------------------------------------------------- lifecycle
@@ -259,20 +249,28 @@ class ParallelShardRuntime:
             fault_config=self.fault_config,
         )
 
-    def _spawn(self, worker: _Worker) -> Tuple[int, list]:
-        """Start (or restart) a worker; returns its ready announcement."""
-        worker.commands = self._ctx.Queue()
-        worker.replies = self._ctx.Queue()
+    def _start(self, worker: _Worker, in_process: bool = False) -> Tuple[int, list]:
+        """Start the shard's server -- in a fresh worker process, or in
+        this process -- and return its ready announcement."""
         spec = self._spec(worker.index, worker.restarts)
-        worker.process = self._ctx.Process(
-            target=shard_worker_main,
-            args=(spec, worker.commands, worker.replies),
-            daemon=True,
-            name=f"repro-shard-{worker.index}",
-        )
-        worker.process.start()
+        worker.flags = (False, False)
+        if in_process:
+            # The front-end process is the trusted domain (faults model
+            # worker memory), so the in-process server runs without them.
+            shard = InProcessShard(replace(spec, fault_config=None))
+            worker.process = None
+            worker.commands, worker.replies = shard, shard.replies
+        else:
+            worker.commands = self._ctx.Queue()
+            worker.replies = self._ctx.Queue()
+            worker.process = self._ctx.Process(
+                target=shard_worker_main,
+                args=(spec, worker.commands, worker.replies),
+                daemon=True,
+                name=f"repro-shard-{worker.index}",
+            )
+            worker.process.start()
         worker.last_progress = time.perf_counter()
-        worker.throttled = False
         reply = self._await_reply(worker)
         if reply[0] == "error":
             raise WorkerFailure(f"worker {worker.index} failed to start: {reply[2]}")
@@ -322,48 +320,70 @@ class ParallelShardRuntime:
         worker.hangs += 1
         self.registry.counter(f"parallel.worker{worker.index}.hangs").inc()
         process = worker.process
-        if process is not None and process.is_alive():
+        if process.is_alive():
             process.terminate()
             process.join(timeout=self.join_timeout_s)
 
-    def _await_reply(self, worker: _Worker, *, deadline: bool = False):
-        """Block until *worker* replies; raise :class:`WorkerFailure` if it
-        dies first (the caller owns recovery, since only it knows which
-        commands the dead incarnation's queue took with it).  Heartbeats
-        are consumed here -- they refresh the progress clock but are never
-        surfaced.  With ``deadline=True`` a worker that stays silent past
-        ``batch_deadline_s`` is terminated and reported as a failure."""
+    def _poll(self, worker: _Worker, timeout: float, deadline: bool = True):
+        """The next reply from *worker*, or ``None`` if none arrived within
+        *timeout* seconds (0: do not block).
+
+        Heartbeats are consumed here -- they refresh the progress clock but
+        are never surfaced.  Raises :class:`_WorkerLost` when the worker
+        process died, or (with *deadline*) stayed silent past
+        ``batch_deadline_s``, in which case it is terminated first.  The
+        caller owns recovery, since only it knows which commands the lost
+        incarnation's queue took with it.
+        """
+        if worker.process is None:
+            # In-process server: put() already queued every reply it owes.
+            while worker.replies:
+                reply = worker.replies.popleft()
+                if reply[0] != "heartbeat":
+                    return reply
+            return None
         while True:
             try:
-                reply = worker.replies.get(timeout=_POLL_S)
+                if timeout:
+                    reply = worker.replies.get(timeout=timeout)
+                else:
+                    reply = worker.replies.get_nowait()
             except queue_module.Empty:
                 if worker.process.is_alive():
                     if deadline and self._deadline_expired(worker):
                         self._terminate_hung(worker)
-                        raise WorkerFailure(
+                        raise _WorkerLost(
                             f"worker {worker.index} hung: no progress for "
-                            f"{self.batch_deadline_s:.3f}s"
+                            f"{self.batch_deadline_s:.3f}s",
+                            "hang",
                         )
-                    continue
+                    return None
                 # One last drain: the worker may have replied, then died.
                 reply = _drain_nowait(worker.replies)
-                if reply is not None:
-                    worker.last_progress = time.perf_counter()
-                    return reply
-                raise WorkerFailure(
-                    f"worker {worker.index} died "
-                    f"(exitcode {worker.process.exitcode})"
-                )
+                if reply is None:
+                    raise _WorkerLost(
+                        f"worker {worker.index} died "
+                        f"(exitcode {worker.process.exitcode})",
+                        "death",
+                    )
             worker.last_progress = time.perf_counter()
-            if reply[0] == "heartbeat":
-                continue
-            return reply
+            if reply[0] != "heartbeat":
+                return reply
+            timeout = 0
+
+    def _await_reply(self, worker: _Worker, *, deadline: bool = False):
+        """Block until *worker* replies (see :meth:`_poll`)."""
+        while True:
+            reply = self._poll(worker, _POLL_S, deadline)
+            if reply is not None:
+                return reply
 
     def _send_batch(
-        self, worker: _Worker, positions: List[int], batch: list
+        self, worker: _Worker, positions: List[int], batch: list, seq=None
     ) -> None:
-        seq = worker.next_seq
-        worker.next_seq += 1
+        if seq is None:
+            seq = worker.next_seq
+            worker.next_seq += 1
         worker.pending[seq] = (positions, batch)
         worker.sent_at[seq] = time.perf_counter()
         # A send restarts the progress clock: deadlines measure silence
@@ -373,6 +393,11 @@ class ParallelShardRuntime:
         self.registry.gauge(f"parallel.worker{worker.index}.queue_depth").set(
             worker.inflight
         )
+
+    def _command(self, worker: _Worker, op: str, *args) -> None:
+        """Send one seq-numbered non-batch command."""
+        worker.commands.put((op, worker.next_seq) + args)
+        worker.next_seq += 1
 
     def _record_ack(
         self,
@@ -406,7 +431,7 @@ class ParallelShardRuntime:
                     f"parallel.worker{worker.index}.batch_roundtrip_us"
                 ).record(roundtrip_us)
             self.registry.counter(f"parallel.worker{worker.index}.batches").inc()
-            self._feed_health_ack(worker, roundtrip_us)
+            self._feed_health_ack(worker, len(completions), roundtrip_us)
         for covered in [s for s in worker.unckpt if s <= checkpointed_seq]:
             del worker.unckpt[covered]
         self.registry.gauge(f"parallel.worker{worker.index}.queue_depth").set(
@@ -415,188 +440,109 @@ class ParallelShardRuntime:
         return newly_recorded
 
     # --------------------------------------------------------- health feeding
-    def _feed_health_ack(self, worker: _Worker, roundtrip_us: int) -> None:
+    def _feed_health_ack(
+        self, worker: _Worker, accesses: int, roundtrip_us: int
+    ) -> None:
         """One batch acknowledgement reached the front-end: feed the
-        breaker.  Probe acks count toward re-admission; normal acks feed
-        the latency window (microseconds stand in for cycles -- the policy
-        knob is documented as round-trip µs for the parallel runtime)."""
-        if self.health is None:
+        breaker.  Quarantined batches count toward the cooldown, probe acks
+        toward re-admission; normal acks feed the latency window
+        (microseconds stand in for cycles -- the policy knob is documented
+        as round-trip µs for the parallel runtime)."""
+        health = self.health
+        if health is None:
             return
-        state = self.health.state(worker.index)
-        if state is HealthState.PROBING:
-            self.health.record_probe(worker.index, True)
-            if self.health.state(worker.index) is HealthState.HEALTHY:
-                self._set_worker_throttle(worker, False)
-            return
-        self.health.record_access(worker.index, True, roundtrip_us)
-        self._set_worker_throttle(
-            worker, self.health.state(worker.index) is HealthState.DEGRADED
-        )
+        index = worker.index
+        state = health.state(index)
+        if state is HealthState.QUARANTINED:
+            for _ in range(accesses):
+                health.record_fallback(index)
+            self.registry.counter(f"parallel.worker{index}.fallback_batches").inc()
+        elif state is HealthState.PROBING:
+            health.record_probe(index, True)
+        else:
+            health.record_access(index, True, roundtrip_us)
+        self._send_health_flags(worker)
 
-    def _set_worker_throttle(self, worker: _Worker, flag: bool) -> None:
-        if worker.throttled == flag:
-            return
-        process = worker.process
-        if process is None or not process.is_alive():
-            return
-        worker.commands.put(("throttle", None, flag))
-        worker.throttled = flag
+    def _send_health_flags(self, worker: _Worker) -> None:
+        """Hand the breaker's mitigations to the shard: degraded mode
+        throttles merges and prefetcher, padding adds one dummy path
+        access per request."""
+        state = self.health.state(worker.index)
+        flags = (state.throttled, state in _PADDED)
+        if flags != worker.flags:
+            worker.commands.put(("throttle", None) + flags)
+            worker.flags = flags
 
     # -------------------------------------------------------------- recovery
-    def _fail_worker(self, worker: _Worker, reason: str, results) -> int:
-        """Route one dead/hung worker through the configured ladder.
+    def _fail_worker(self, worker: _Worker, reason: str) -> None:
+        """Route one dead or hung worker through the recovery ladder.
 
-        Without a health plane this is the original immediate
-        respawn-and-replay (:meth:`_recover`).  With one, the worker is
-        quarantined: its outstanding batches are resolved against an
-        in-process fallback backend and subsequent traffic is served
-        there until the breaker re-admits it.  Returns how many batches
-        were newly recorded into *results* (0 on the respawn path, where
-        replayed batches are acknowledged through the queues instead).
+        Without a health plane the shard restarts as a fresh worker
+        process.  With one, its breaker trips and the shard restarts in
+        this process, where it is served one batch at a time until the
+        breaker re-admits it (:meth:`_readmit`).
         """
-        if self.health is None:
-            self._recover(worker)
-            return 0
-        return self._quarantine(worker, reason, results)
-
-    def _recover(self, worker: _Worker) -> None:
-        """Respawn a dead worker from its checkpoint and replay the gap."""
+        process = worker.process
+        if process.is_alive():
+            process.terminate()
+        process.join(timeout=self.join_timeout_s)
+        if self.health is not None:
+            self.health.record_hard_failure(worker.index, reason)
+            self._restart(worker, in_process=True)
+            return
         if not self.checkpoint_dir:
             raise WorkerFailure(
                 f"worker {worker.index} died (exitcode "
-                f"{worker.process.exitcode}) and checkpointing is disabled"
+                f"{process.exitcode}) and checkpointing is disabled"
             )
         if worker.restarts >= self.max_restarts:
             raise WorkerFailure(
                 f"worker {worker.index} exceeded its restart budget "
                 f"({self.max_restarts})"
             )
-        worker.process.join(timeout=self.join_timeout_s)
+        self._restart(worker, in_process=False)
+
+    def _restart(self, worker: _Worker, in_process: bool) -> None:
+        """Restore the shard from its checkpoint and replay the gap.
+
+        Everything un-acknowledged or un-checkpointed goes back through
+        the restored server.  Batches its reply window already covers are
+        answered without re-execution; the rest re-run from the
+        checkpointed state.  The restart salt advances, so the restored
+        shard draws a fresh (still deterministic) leaf stream.
+        """
         worker.restarts += 1
         self.registry.counter(f"parallel.worker{worker.index}.restarts").inc()
-        # Fresh queues (via _spawn): the old ones may hold a torn pickle.
-        restored_seq, window = self._spawn(worker)
+        restored_seq, window = self._start(worker, in_process)
         stored = {seq for seq, _completions in window}
-        # Everything un-acknowledged or un-checkpointed goes back through
-        # the worker.  Batches the restored checkpoint already covers are
-        # answered from its reply window without re-execution; the rest
-        # re-run from the checkpointed state.
         replay = dict(worker.unckpt)
         replay.update(worker.pending)
         worker.unckpt = {}
         worker.pending = {}
         worker.sent_at = {}
+        if self.health is not None:
+            self._send_health_flags(worker)
         for seq in sorted(replay):
-            positions, batch = replay[seq]
             if seq <= restored_seq and seq not in stored:
                 raise WorkerFailure(
                     f"worker {worker.index}: batch {seq} is inside the "
                     f"restored checkpoint but outside its reply window"
                 )
-            worker.pending[seq] = (positions, batch)
-            worker.sent_at[seq] = time.perf_counter()
-            worker.commands.put(("batch", seq, batch))
-
-    def _quarantine(self, worker: _Worker, reason: str, results) -> int:
-        """Trip the breaker and swing the shard onto its fallback path.
-
-        The fallback backend is rebuilt in-process from the worker's
-        checkpoint (without the worker's fault injector: the front-end
-        process is the trusted domain, faults model worker memory).
-        Outstanding batches are resolved immediately -- answered from the
-        checkpoint's reply window when it already covers them, re-executed
-        on the fallback otherwise -- so no completion is ever lost.
-        """
-        self.health.record_hard_failure(worker.index, reason)
-        process = worker.process
-        if process is not None:
-            if process.is_alive():
-                process.terminate()
-            process.join(timeout=self.join_timeout_s)
-        # The fallback is the shard's next incarnation: it advances the
-        # restart salt so its leaf stream is fresh, like any respawn.
-        worker.restarts += 1
-        self.registry.counter(f"parallel.worker{worker.index}.restarts").inc()
-        from repro.oram.checkpoint import restore_backend
-        from repro.sim.system import build_shard_backend
-
-        backend = build_shard_backend(
-            self.scheme,
-            self.footprint_blocks,
-            self.config,
-            worker.index,
-            self.num_workers,
-            static_sbsize=self.static_sbsize,
-            rng_restart_salt=worker.restarts,
-        )
-        runtime_state = restore_backend(
-            backend, self._checkpoint_path(worker.index)
-        )
-        restored_seq = runtime_state.get("last_seq", -1)
-        window = {
-            seq: list(completions)
-            for seq, completions in runtime_state.get("replies", [])
-        }
-        worker.fallback = backend
-        worker.fallback_seq = restored_seq
-        worker.fallback_window = window
-        replay = dict(worker.unckpt)
-        replay.update(worker.pending)
-        worker.unckpt = {}
-        worker.pending = {}
-        worker.sent_at = {}
-        recorded = 0
-        for seq in sorted(replay):
             positions, batch = replay[seq]
-            if seq <= restored_seq:
-                completions = window.get(seq)
-                if completions is None:
-                    raise WorkerFailure(
-                        f"worker {worker.index}: batch {seq} is inside the "
-                        f"restored checkpoint but outside its reply window"
-                    )
-            else:
-                completions = self._fallback_execute(worker, seq, batch)
-            if results[positions[0]] is None:
-                for position, cycle in zip(positions, completions):
-                    results[position] = cycle
-                recorded += 1
-        return recorded
+            self._send_batch(worker, positions, batch, seq)
 
-    def _fallback_execute(
-        self, worker: _Worker, seq: int, batch: list
-    ) -> List[int]:
-        """Serve one batch on the quarantined shard's fallback backend.
+    def _readmit(self, worker: _Worker) -> bool:
+        """Move a cooled-down quarantined shard back into a worker process,
+        half-open (PROBING).  Returns True when it did.
 
-        Every request is padded with one dummy-path access, so fallback
-        (and probe) traffic presents the same fixed two-path shape and
-        the leaf distribution the shard exposes stays uniform.
-        """
-        backend = worker.fallback
+        A worker whose restart budget is exhausted stays in-process for
+        good (degraded-but-correct beats fatal)."""
         health = self.health
-        completions = []
-        for addr, now, is_write in batch:
-            result = backend.demand_access(addr, now, is_write)
-            completions.append(backend.dummy_path_access(result.completion_cycle))
-            health.record_fallback(worker.index)
-        worker.fallback_seq = seq
-        worker.fallback_window[seq] = completions
-        keep = max(2 * self.max_inflight, 8)
-        for old in sorted(worker.fallback_window)[:-keep]:
-            del worker.fallback_window[old]
-        self.registry.counter(
-            f"parallel.worker{worker.index}.fallback_batches"
-        ).inc()
-        return completions
-
-    def _try_readmit(self, worker: _Worker) -> bool:
-        """Checkpoint the fallback and respawn the worker half-open.
-
-        Returns True when the worker was respawned into PROBING.  A
-        worker whose restart budget is exhausted stays on its fallback
-        permanently (degraded-but-correct beats fatal)."""
-        health = self.health
-        if worker.no_probe or not health.breakers[worker.index].ready_to_probe:
+        if (
+            worker.no_probe
+            or worker.pending
+            or not health.breakers[worker.index].ready_to_probe
+        ):
             return False
         if worker.restarts >= self.max_restarts:
             worker.no_probe = True
@@ -604,71 +550,29 @@ class ParallelShardRuntime:
                 f"parallel.worker{worker.index}.probe_denied"
             ).inc()
             return False
-        from repro.oram.checkpoint import save_backend
-
-        save_backend(
-            worker.fallback,
-            self._checkpoint_path(worker.index),
-            {
-                "last_seq": worker.fallback_seq,
-                "replies": [
-                    [seq, completions]
-                    for seq, completions in sorted(worker.fallback_window.items())
-                ],
-            },
-        )
+        # Checkpoint everything the in-process server applied: the worker
+        # process restores exactly that state, with nothing left to replay.
+        self._command(worker, "checkpoint")
+        reply = self._await_reply(worker)
+        if reply[0] != "checkpoint_done":
+            raise WorkerFailure(f"worker {worker.index} failed: {reply[2]}")
+        worker.unckpt = {}
         health.begin_probe_if_ready(worker.index)
-        worker.fallback = None
-        worker.fallback_window = {}
-        worker.restarts += 1
-        self.registry.counter(f"parallel.worker{worker.index}.restarts").inc()
-        self._spawn(worker)
-        # Probe under throttle: the shard earns full rate back only once
-        # the breaker re-admits it.
-        self._set_worker_throttle(worker, True)
+        self._restart(worker, in_process=False)
         return True
 
-    def _is_quarantined(self, worker: _Worker) -> bool:
-        return (
-            self.health is not None
-            and self.health.state(worker.index) is HealthState.QUARANTINED
-        )
-
     def _inflight_cap(self, worker: _Worker) -> int:
-        """Pipelining depth by health state: probes go one at a time,
-        degraded workers at half rate, healthy ones at full depth."""
+        """Pipelining depth by health state: quarantined and probing shards
+        go one batch at a time, degraded ones at half rate, healthy ones at
+        full depth."""
         if self.health is None:
             return self.max_inflight
         state = self.health.state(worker.index)
-        if state is HealthState.PROBING:
+        if state in _PADDED:
             return 1
         if state is HealthState.DEGRADED:
             return max(1, self.max_inflight // 2)
         return self.max_inflight
-
-    def _pump_quarantined(
-        self, worker: _Worker, chunks, cursors, results
-    ) -> int:
-        """Advance a quarantined shard by at most one fallback batch.
-
-        One batch per pump iteration keeps the scheduler fair: the other
-        workers' queues are serviced between fallback batches.  Returns
-        the number of batches newly recorded (0 or 1)."""
-        if self._try_readmit(worker):
-            return 0
-        if cursors[worker.index] >= len(chunks):
-            return 0
-        positions, batch = chunks[cursors[worker.index]]
-        cursors[worker.index] += 1
-        seq = worker.next_seq
-        worker.next_seq += 1
-        completions = self._fallback_execute(worker, seq, batch)
-        recorded = 0
-        if results[positions[0]] is None:
-            for position, cycle in zip(positions, completions):
-                results[position] = cycle
-            recorded = 1
-        return recorded
 
     # ------------------------------------------------------------------- run
     def run(
@@ -713,15 +617,9 @@ class ParallelShardRuntime:
         while unrecorded:
             progressed = False
             for worker in self._workers:
+                if self.health is not None and self._readmit(worker):
+                    progressed = True
                 chunks = batches[worker.index]
-                if self._is_quarantined(worker):
-                    recorded = self._pump_quarantined(
-                        worker, chunks, cursors, results
-                    )
-                    if recorded:
-                        unrecorded -= recorded
-                        progressed = True
-                    continue
                 cap = self._inflight_cap(worker)
                 while (
                     cursors[worker.index] < len(chunks)
@@ -735,25 +633,14 @@ class ParallelShardRuntime:
                 if not worker.pending:
                     continue
                 try:
-                    reply = worker.replies.get_nowait()
-                except queue_module.Empty:
-                    if worker.process.is_alive():
-                        if self._deadline_expired(worker):
-                            self._terminate_hung(worker)
-                            unrecorded -= self._fail_worker(
-                                worker, "hang", results
-                            )
-                            progressed = True
-                        continue
-                    reply = _drain_nowait(worker.replies)
-                    if reply is None:
-                        unrecorded -= self._fail_worker(worker, "death", results)
-                        progressed = True
-                        continue
-                worker.last_progress = time.perf_counter()
-                if reply[0] == "heartbeat":
+                    reply = self._poll(worker, 0)
+                except _WorkerLost as lost:
+                    self._fail_worker(worker, lost.reason)
                     progressed = True
                     continue
+                if reply is None:
+                    continue
+                progressed = True
                 if reply[0] == "error":
                     raise WorkerFailure(
                         f"worker {worker.index} failed: {reply[2]}"
@@ -768,7 +655,6 @@ class ParallelShardRuntime:
                     worker, seq, completions, checkpointed_seq, results
                 ):
                     unrecorded -= 1
-                progressed = True
             if not progressed:
                 time.sleep(0.001)
         # Barrier: drain every worker at the globally last completion so
@@ -788,35 +674,20 @@ class ParallelShardRuntime:
     def _barrier(
         self, horizon: int, fsck: bool, results: List[Optional[int]]
     ) -> List[dict]:
-        """Drain + (optionally) fsck + snapshot every worker."""
+        """Drain + (optionally) fsck + snapshot every shard."""
         snapshots: List[Optional[dict]] = [None] * self.num_workers
         fsck_failures: List[str] = []
         for worker in self._workers:
-            if not self._is_quarantined(worker):
-                self._send_barrier_commands(worker, horizon, fsck)
+            self._send_barrier_commands(worker, horizon, fsck)
         for worker in self._workers:
             while snapshots[worker.index] is None:
-                if self._is_quarantined(worker):
-                    # The shard lives in the front-end process now; the
-                    # barrier runs directly against its fallback backend.
-                    snapshots[worker.index] = self._fallback_barrier(
-                        worker, horizon, fsck, fsck_failures
-                    )
-                    break
                 try:
                     reply = self._await_reply(worker, deadline=True)
-                except WorkerFailure as failure:
-                    # Death (or hang) at the barrier: heal, then re-issue
-                    # the barrier commands the old command queue took with
-                    # it -- unless the health plane quarantined the shard,
-                    # in which case the loop snapshots its fallback.
-                    self._fail_worker(
-                        worker,
-                        "hang" if "hung" in str(failure) else "death",
-                        results,
-                    )
-                    if not self._is_quarantined(worker):
-                        self._send_barrier_commands(worker, horizon, fsck)
+                except _WorkerLost as lost:
+                    # Death (or hang) at the barrier: recover, then re-issue
+                    # the barrier commands the lost incarnation took with it.
+                    self._fail_worker(worker, lost.reason)
+                    self._send_barrier_commands(worker, horizon, fsck)
                     continue
                 if reply[0] == "error":
                     raise WorkerFailure(
@@ -841,30 +712,10 @@ class ParallelShardRuntime:
         self, worker: _Worker, horizon: int, fsck: bool
     ) -> None:
         worker.last_progress = time.perf_counter()
-        worker.commands.put(("drain", worker.next_seq, horizon))
-        worker.next_seq += 1
+        self._command(worker, "drain", horizon)
         if fsck:
-            worker.commands.put(("fsck", worker.next_seq))
-            worker.next_seq += 1
-        worker.commands.put(("stats", worker.next_seq))
-        worker.next_seq += 1
-
-    def _fallback_barrier(
-        self, worker: _Worker, horizon: int, fsck: bool, fsck_failures: List[str]
-    ) -> dict:
-        """Drain + fsck + snapshot a quarantined shard's fallback backend
-        -- the in-process mirror of the worker barrier commands."""
-        from repro.controller.sharded import snapshot_shard_stats
-
-        backend = worker.fallback
-        backend.finalize(max(horizon, backend.busy_until))
-        if fsck:
-            from repro.faults.fsck import run_fsck
-
-            report = run_fsck(backend.oram)
-            if not report.ok:
-                fsck_failures.append(report.summary())
-        return snapshot_shard_stats(backend)
+            self._command(worker, "fsck")
+        self._command(worker, "stats")
 
     # ------------------------------------------------------------ inspection
     def metrics(self, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
@@ -888,7 +739,9 @@ class ParallelShardRuntime:
         return [worker.hangs for worker in self._workers]
 
     def kill_worker(self, index: int) -> None:
-        """Hard-kill one worker process (fault-injection hook for tests)."""
+        """Hard-kill one worker process (fault-injection hook for tests).
+
+        A no-op while the shard is served in-process."""
         process = self._workers[index].process
         if process is not None and process.is_alive():
             process.terminate()
@@ -900,7 +753,8 @@ class ParallelShardRuntime:
         The worker stays alive but stops serving batches and heartbeats
         for *seconds* -- the failure mode the old runtime could only wait
         out.  With deadline enforcement the front-end detects the silence,
-        terminates the process, and runs the recovery ladder."""
+        terminates the process, and runs the recovery ladder.  A no-op
+        while the shard is served in-process."""
         worker = self._workers[index]
         if worker.process is not None and worker.process.is_alive():
             worker.commands.put(("hang", None, seconds))

@@ -1,18 +1,21 @@
-"""The shard worker: one process, one ORAM controller, one command loop.
+"""The shard server: one ORAM controller and the commands that drive it.
 
-A worker owns exactly one channel of the bank -- a complete
+A :class:`ShardServer` owns exactly one channel of the bank -- a complete
 :class:`~repro.memory.oram_backend.ORAMBackend` with its own tree, stash,
-position-map hierarchy, and phase counters -- rebuilt inside the child
-process from the :class:`~repro.parallel.protocol.ShardSpec` (specs are
-data; live backends never cross a process boundary).  It drains command
-tuples from its queue and pushes reply tuples back; the shapes are
-documented in :mod:`repro.parallel.protocol`.
+position-map hierarchy, and phase counters -- rebuilt from the
+:class:`~repro.parallel.protocol.ShardSpec` (specs are data; live
+backends never cross a process boundary).  :meth:`ShardServer.handle`
+serves one command tuple and emits its reply tuples; the shapes are
+documented in :mod:`repro.parallel.protocol`.  Two transports drive it:
+:func:`shard_worker_main` loops over a worker process's queue pair, and
+:class:`InProcessShard` serves each command synchronously in the caller's
+process (the runtime's quarantine fallback).
 
-Durability: when the spec carries a checkpoint path, the worker persists
+Durability: when the spec carries a checkpoint path, the server persists
 its entire backend (via :func:`repro.oram.checkpoint.save_backend`) every
 ``checkpoint_every`` batches, *before* acknowledging the batch, and keeps
 a window of recent ``(seq, completions)`` replies inside the checkpoint's
-runtime section.  A respawned worker therefore reports exactly which
+runtime section.  A restarted server therefore reports exactly which
 batches survived (``last_seq``) and can re-serve acknowledgements the
 crash swallowed -- the front-end replays only what is genuinely missing.
 """
@@ -20,7 +23,9 @@ crash swallowed -- the front-end replays only what is genuinely missing.
 from __future__ import annotations
 
 import os
+import time
 import traceback
+from collections import deque
 
 from repro.controller.sharded import snapshot_shard_stats
 from repro.oram.checkpoint import restore_backend, save_backend
@@ -57,122 +62,160 @@ def build_worker_backend(spec: ShardSpec):
     )
 
 
-def _checkpoint(backend, spec: ShardSpec, last_seq: int, window) -> int:
-    save_backend(
-        backend,
-        spec.checkpoint_path,
-        {"last_seq": last_seq, "replies": [list(entry) for entry in window]},
-    )
-    return last_seq
+class ShardServer:
+    """Build (or restore) one shard and serve the worker protocol on it."""
 
-
-def shard_worker_main(spec: ShardSpec, commands, replies) -> None:
-    """Entry point of the worker process (target of ``Process``)."""
-    try:
-        backend = build_worker_backend(spec)
-        last_seq = -1
-        window = []  # recent [seq, completions] pairs, oldest first
+    def __init__(self, spec: ShardSpec):
+        self.spec = spec
+        self.backend = build_worker_backend(spec)
+        self.last_seq = -1
+        self.window = []  # recent [seq, completions] pairs, oldest first
+        #: health-plane padding: one dummy path access after every request
+        self.padded = False
+        self._since_checkpoint = 0
         if spec.checkpoint_path and os.path.exists(spec.checkpoint_path):
-            runtime = restore_backend(backend, spec.checkpoint_path)
-            last_seq = runtime.get("last_seq", -1)
-            window = [list(entry) for entry in runtime.get("replies", [])]
-            checkpointed_seq = last_seq
+            runtime = restore_backend(self.backend, spec.checkpoint_path)
+            self.last_seq = runtime.get("last_seq", -1)
+            self.window = [list(entry) for entry in runtime.get("replies", [])]
+            self.checkpointed_seq = self.last_seq
         elif spec.checkpoint_path:
             # Genesis checkpoint: a crash before the first periodic
             # checkpoint must still leave something to restore from.
-            checkpointed_seq = _checkpoint(backend, spec, last_seq, window)
+            self._checkpoint()
         else:
-            checkpointed_seq = last_seq
-        replies.put(("ready", last_seq, [list(entry) for entry in window]))
-    except Exception:
-        replies.put(("error", None, traceback.format_exc()))
-        return
+            self.checkpointed_seq = self.last_seq
 
-    batches_since_checkpoint = 0
-    while True:
-        command = commands.get()
+    def ready(self) -> tuple:
+        return ("ready", self.last_seq, [list(entry) for entry in self.window])
+
+    def _checkpoint(self) -> None:
+        save_backend(
+            self.backend,
+            self.spec.checkpoint_path,
+            {
+                "last_seq": self.last_seq,
+                "replies": [list(entry) for entry in self.window],
+            },
+        )
+        self.checkpointed_seq = self.last_seq
+        self._since_checkpoint = 0
+
+    def handle(self, command: tuple, emit) -> bool:
+        """Serve one command, passing each reply to *emit*; False on shutdown."""
         op = command[0]
         seq = command[1] if len(command) > 1 else None
         try:
             if op == "shutdown":
-                return
+                return False
             if op == "batch":
-                batch = command[2]
-                if seq <= last_seq:
-                    # Replay of already-applied work: the crash swallowed
-                    # the acknowledgement, not the effects.  Answer from
-                    # the stored window instead of re-executing.
-                    for stored_seq, stored in window:
-                        if stored_seq == seq:
-                            replies.put(
-                                ("batch_done", seq, stored, checkpointed_seq)
-                            )
-                            break
-                    else:
-                        replies.put(
-                            (
-                                "error",
-                                seq,
-                                f"batch {seq} predates the replay window "
-                                f"(last_seq={last_seq})",
-                            )
-                        )
-                    continue
-                completions = []
-                for addr, now, is_write in batch:
-                    completions.append(
-                        backend.demand_access(addr, now, is_write).completion_cycle
-                    )
-                    # Mid-batch liveness proof: under deadline enforcement
-                    # the front-end must tell "slow" from "hung", and the
-                    # only evidence that crosses the process boundary is a
-                    # reply.  The final completion is announced by
-                    # batch_done itself, so no heartbeat follows it.
-                    if (
-                        spec.heartbeat_every
-                        and len(completions) % spec.heartbeat_every == 0
-                        and len(completions) < len(batch)
-                    ):
-                        replies.put(("heartbeat", seq, len(completions)))
-                last_seq = seq
-                window.append([seq, completions])
-                del window[: -max(spec.replay_window, 1)]
-                batches_since_checkpoint += 1
-                if (
-                    spec.checkpoint_path
-                    and spec.checkpoint_every
-                    and batches_since_checkpoint >= spec.checkpoint_every
-                ):
-                    checkpointed_seq = _checkpoint(backend, spec, last_seq, window)
-                    batches_since_checkpoint = 0
-                replies.put(("batch_done", seq, completions, checkpointed_seq))
+                self._batch(seq, command[2], emit)
             elif op == "drain":
+                backend = self.backend
                 backend.finalize(max(command[2], backend.busy_until))
-                replies.put(("drained", seq))
+                emit(("drained", seq))
             elif op == "stats":
-                replies.put(("stats", seq, snapshot_shard_stats(backend)))
+                emit(("stats", seq, snapshot_shard_stats(self.backend)))
             elif op == "fsck":
                 from repro.faults.fsck import run_fsck
 
-                report = run_fsck(backend.oram)
-                replies.put(("fsck_done", seq, report.ok, report.summary()))
+                report = run_fsck(self.backend.oram)
+                emit(("fsck_done", seq, report.ok, report.summary()))
             elif op == "checkpoint":
-                if spec.checkpoint_path:
-                    checkpointed_seq = _checkpoint(backend, spec, last_seq, window)
-                replies.put(("checkpoint_done", seq, checkpointed_seq))
+                if self.spec.checkpoint_path:
+                    self._checkpoint()
+                emit(("checkpoint_done", seq, self.checkpointed_seq))
             elif op == "throttle":
-                # Degraded-mode switch from the front-end's breaker: no
-                # reply, so it never perturbs the seq/ack bookkeeping.
-                backend.set_degraded(bool(command[2]))
+                # Health flags from the front-end's breaker: no reply, so
+                # they never perturb the seq/ack bookkeeping.
+                _op, _seq, degraded, self.padded = command
+                self.backend.set_degraded(degraded)
             elif op == "hang":
                 # Chaos hook: stall the command loop without dying.  The
                 # batches queued behind this command stop being served,
                 # which is exactly the failure deadline enforcement must
                 # catch (a kill is detectable by liveness; a hang is not).
-                import time
-
                 time.sleep(command[2])
             else:
-                replies.put(("error", seq, f"unknown command {op!r}"))
+                emit(("error", seq, f"unknown command {op!r}"))
         except Exception:
-            replies.put(("error", seq, traceback.format_exc()))
+            emit(("error", seq, traceback.format_exc()))
+        return True
+
+    def _batch(self, seq: int, batch: list, emit) -> None:
+        if seq <= self.last_seq:
+            # Replay of already-applied work: the crash swallowed the
+            # acknowledgement, not the effects.  Answer from the stored
+            # window instead of re-executing.
+            for stored_seq, stored in self.window:
+                if stored_seq == seq:
+                    emit(("batch_done", seq, stored, self.checkpointed_seq))
+                    return
+            emit(
+                (
+                    "error",
+                    seq,
+                    f"batch {seq} predates the replay window "
+                    f"(last_seq={self.last_seq})",
+                )
+            )
+            return
+        backend = self.backend
+        spec = self.spec
+        heartbeat_every = spec.heartbeat_every
+        completions = []
+        for addr, now, is_write in batch:
+            completion = backend.demand_access(addr, now, is_write).completion_cycle
+            if self.padded:
+                # Sick shard (quarantined or probing): every request gets
+                # one dummy path access, the padding invariant of the bank.
+                completion = backend.dummy_path_access(completion)
+            completions.append(completion)
+            # Mid-batch liveness proof: under deadline enforcement the
+            # front-end must tell "slow" from "hung", and the only evidence
+            # that crosses the process boundary is a reply.  The final
+            # completion is announced by batch_done itself, so no heartbeat
+            # follows it.
+            if (
+                heartbeat_every
+                and len(completions) % heartbeat_every == 0
+                and len(completions) < len(batch)
+            ):
+                emit(("heartbeat", seq, len(completions)))
+        self.last_seq = seq
+        self.window.append([seq, completions])
+        del self.window[: -max(spec.replay_window, 1)]
+        self._since_checkpoint += 1
+        if (
+            spec.checkpoint_path
+            and spec.checkpoint_every
+            and self._since_checkpoint >= spec.checkpoint_every
+        ):
+            self._checkpoint()
+        emit(("batch_done", seq, completions, self.checkpointed_seq))
+
+
+def shard_worker_main(spec: ShardSpec, commands, replies) -> None:
+    """Entry point of the worker process (target of ``Process``)."""
+    try:
+        server = ShardServer(spec)
+    except Exception:
+        replies.put(("error", None, traceback.format_exc()))
+        return
+    replies.put(server.ready())
+    while server.handle(commands.get(), replies.put):
+        pass
+
+
+class InProcessShard:
+    """A :class:`ShardServer` driven from the caller's process.
+
+    :meth:`put` serves each command synchronously and its replies queue up
+    in :attr:`replies` -- the worker's queue pair without the process.
+    """
+
+    def __init__(self, spec: ShardSpec):
+        self.server = ShardServer(spec)
+        self.replies = deque([self.server.ready()])
+
+    def put(self, command: tuple) -> None:
+        self.server.handle(command, self.replies.append)

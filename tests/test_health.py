@@ -28,7 +28,8 @@ from repro.health import (
 )
 from repro.observability.collect import collect_parallel
 from repro.observability.metrics import MetricsRegistry
-from repro.parallel import ParallelShardRuntime, run_serial_reference
+from repro.parallel import ParallelShardRuntime, ShardSpec, run_serial_reference
+from repro.parallel.worker import ShardServer
 from repro.sim.system import SecureSystem
 from repro.utils.rng import DeterministicRng
 
@@ -366,6 +367,124 @@ class TestRuntimeHealth:
         assert registry.counter("parallel.worker0.hangs").value == 0
         assert registry.gauge("health.shard1.state").value in (0, 1, 2, 3)
         assert registry.counter("health.shard1.hard_failures").value >= 1
+
+
+class TestParallelRecoveryPaths:
+    """The runtime's recovery ladder under a health plane: a dead worker is
+    served in-process while quarantined, then re-admitted half-open."""
+
+    def runtime(self, tmp_path, policy, **overrides):
+        options = dict(
+            checkpoint_dir=str(tmp_path),
+            batch_size=16,
+            max_restarts=8,
+            health_policy=policy,
+        )
+        options.update(overrides)
+        return ParallelShardRuntime("dyn", FOOTPRINT, num_workers=2, **options)
+
+    def test_killed_worker_walks_quarantine_probe_readmit(self, tmp_path):
+        requests = small_stream()
+        policy = HealthPolicy(
+            quarantine_cooldown=8,
+            probe_batch=8,
+            probe_successes=2,
+            join_timeout_s=2.0,
+        )
+        with self.runtime(tmp_path, policy) as runtime:
+            runtime.kill_worker(0)
+            result = runtime.run(requests, fsck=True)
+            registry = runtime.metrics()
+            pairs = runtime.health.breakers[0].transition_pairs()
+        assert pairs == [
+            ("healthy", "quarantined"),
+            ("quarantined", "probing"),
+            ("probing", "healthy"),
+        ]
+        assert registry.counter("parallel.worker0.fallback_batches").value >= 1
+        assert result.demand_requests == len(requests)
+
+    def test_exhausted_restart_budget_stays_on_fallback(self, tmp_path):
+        requests = small_stream()
+        policy = HealthPolicy(
+            quarantine_cooldown=8,
+            probe_batch=8,
+            probe_successes=2,
+            join_timeout_s=2.0,
+        )
+        with self.runtime(tmp_path, policy, max_restarts=1) as runtime:
+            runtime.kill_worker(0)
+            result = runtime.run(requests, fsck=True)
+            registry = runtime.metrics()
+            assert runtime.health.state(0) is HealthState.QUARANTINED
+        assert registry.counter("parallel.worker0.probe_denied").value >= 1
+        assert registry.counter("parallel.worker0.fallback_batches").value >= 1
+        assert result.demand_requests == len(requests)
+        assert result.trace_entries == len(requests)
+
+    def test_kill_and_hang_of_in_process_shard_are_no_ops(self, tmp_path):
+        first = small_stream(accesses=200)
+        second = small_stream(accesses=200, seed=10)
+        second = [(addr, now + first[-1][1], w) for addr, now, w in second]
+        policy = HealthPolicy(quarantine_cooldown=8, join_timeout_s=2.0)
+        with self.runtime(tmp_path, policy, max_restarts=1) as runtime:
+            runtime.kill_worker(0)
+            runtime.run(first)
+            assert runtime.health.state(0) is HealthState.QUARANTINED
+            restarts = runtime.worker_restarts()
+            runtime.kill_worker(0)
+            runtime.hang_worker(0, seconds=120.0)
+            started = time.perf_counter()
+            result = runtime.run(second, fsck=True)
+            assert time.perf_counter() - started < 60.0
+            assert runtime.worker_restarts() == restarts
+            assert runtime.worker_hangs() == [0, 0]
+        # worker stats are cumulative across runs: nothing lost, nothing
+        # counted twice
+        assert result.demand_requests == len(first) + len(second)
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_padded_batch_adds_one_dummy_per_request(self, padded):
+        spec = ShardSpec(
+            base_scheme="dyn",
+            footprint_blocks=FOOTPRINT,
+            num_shards=2,
+            shard_index=0,
+            config=SystemConfig(),
+        )
+        server = ShardServer(spec)
+        replies = []
+        server.handle(("throttle", None, padded, padded), replies.append)
+        batch = [(addr // 2, now, w) for addr, now, w in small_stream(12)]
+        before = server.backend.stats.dummy_accesses
+        server.handle(("batch", 0, batch), replies.append)
+        added = server.backend.stats.dummy_accesses - before
+        assert added == (len(batch) if padded else 0)
+        assert [reply[0] for reply in replies] == ["batch_done"]
+
+    def test_readmitted_worker_pads_probe_batches(self, tmp_path):
+        """The killed shard is served in-process for a handful of batches,
+        then probes as a process until the run ends: every one of its
+        requests is padded, fallback and probe alike."""
+        requests = small_stream()
+        policy = HealthPolicy(
+            quarantine_cooldown=8,
+            probe_batch=64,
+            probe_successes=64,
+            join_timeout_s=2.0,
+        )
+        with self.runtime(tmp_path, policy, max_inflight=1) as runtime:
+            runtime.kill_worker(0)
+            result = runtime.run(requests)
+            breaker = runtime.health.breakers[0]
+            assert breaker.state is HealthState.PROBING
+            assert breaker.probes_total >= 4
+            fallback = runtime.registry.counter(
+                "health.shard0.fallback_accesses"
+            ).value
+        shard0_requests = sum(1 for addr, _now, _w in requests if addr % 2 == 0)
+        assert fallback < shard0_requests
+        assert result.dummy_accesses >= shard0_requests
 
 
 # -------------------------------------------------------- bank integration
