@@ -23,11 +23,10 @@ oblivious, and the shard selector depends only on the (already leaked)
 block address stream shape -- so the bank leaks nothing beyond N public
 channel choices.
 
-Determinism: shard construction order, the round-robin order of
-:meth:`ShardedORAMBank.access_batch`, and each shard's forked RNG are all
-fixed, so a run is bit-reproducible for any shard count; with ``N == 1``
-builders bypass the bank entirely and the golden single-controller result
-is trivially unchanged.
+Determinism: shard construction order and each shard's forked RNG are
+fixed, and shards share no state, so a run is bit-reproducible for any
+shard count; with ``N == 1`` builders bypass the bank entirely and the
+golden single-controller result is trivially unchanged.
 
 This module is intentionally *not* re-exported from
 ``repro.controller.__init__``: it imports :mod:`repro.memory`, which
@@ -36,38 +35,61 @@ imports the controller package, and the indirection keeps that cycle open.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.health.breaker import HealthState
-from repro.memory.backend import BackendStats, DemandResult, MemoryBackend
+from repro.memory.backend import (
+    FAULT_STAT_FIELDS,
+    RESULT_STAT_FIELDS,
+    BackendStats,
+    DemandResult,
+    MemoryBackend,
+)
 from repro.memory.oram_backend import ORAMBackend
 
 
 def snapshot_shard_stats(shard: ORAMBackend) -> dict:
-    """Sample every merge-relevant counter of one bank channel.
+    """Sample every counter of one bank channel into a plain record.
 
-    The returned dict is plain ints (picklable, JSON-able): the
-    process-parallel runtime ships it over a queue from each worker, and
-    the serial reference path samples the same function in-process, so the
-    merged :class:`~repro.sim.results.SimResult` is built from identical
-    material either way -- bit-identity of the aggregate is structural,
-    not coincidental.
+    This is the only code that reads a controller's counters for a
+    result or a metrics registry; :func:`repro.sim.results.
+    fold_shard_records` is the only code that combines the records.  The
+    record is plain ints in nested dicts (picklable, JSON-able): a worker
+    process ships it over a queue, and the in-process paths sample the
+    same function, so every aggregate is built from identical material.
+
+    Two groups are present only when the shard has the hardware they
+    count: ``faults`` (the :data:`~repro.memory.backend.FAULT_STAT_FIELDS`)
+    with a fault-resilience ladder attached, and ``interconnect`` (the
+    model's summary, under its ``SimResult.extra`` names) when the memory
+    model is not ``flat``.  A flat interconnect keeps no checkpointed
+    state, so its counters would restart at zero on a restored shard.
     """
-    from repro.oram.checkpoint import _BACKEND_STAT_FIELDS, _SCHEME_STAT_FIELDS
-
+    stats = shard.stats
+    oram = shard.oram
     hierarchy = shard.posmap_hierarchy
-    return {
-        "stats": {name: getattr(shard.stats, name) for name in _BACKEND_STAT_FIELDS},
-        "scheme_stats": {
-            name: getattr(shard.scheme.stats, name) for name in _SCHEME_STAT_FIELDS
-        },
-        "stash_max_occupancy": shard.oram.stash.max_occupancy,
-        "stash_soft_overflows": shard.oram.stash_soft_overflows,
+    record = {
+        "stats": {name: getattr(stats, name) for name in RESULT_STAT_FIELDS},
+        "scheme_stats": asdict(shard.scheme.stats),
+        "stash_max_occupancy": oram.stash.max_occupancy,
+        "stash_soft_overflows": oram.stash_soft_overflows,
+        "real_path_accesses": oram.real_accesses,
+        "dummy_path_accesses": oram.dummy_accesses,
         "posmap_lookups": hierarchy.lookups,
         "posmap_cache_hits": hierarchy.cache_hits,
         "phase_cycles": dict(shard.phase_cycles),
         "busy_until": shard.busy_until,
     }
+    if shard.resilience is not None:
+        record["faults"] = {name: getattr(stats, name) for name in FAULT_STAT_FIELDS}
+    interconnect = shard.interconnect
+    if interconnect.model != "flat":
+        record["interconnect"] = {
+            f"interconnect_{name}": value
+            for name, value in interconnect.summary().items()
+        }
+    return record
 
 
 class ShardedORAMBank(MemoryBackend):
@@ -271,35 +293,6 @@ class ShardedORAMBank(MemoryBackend):
             return None
         return self._globalize(shard_index, result)
 
-    def access_batch(
-        self, requests: Sequence[Tuple[int, int, bool]]
-    ) -> List[DemandResult]:
-        """Serve a batch of ``(addr, now, is_write)`` concurrently in-flight.
-
-        Requests are partitioned by shard (preserving arrival order within
-        a shard) and issued deterministically round-robin across shards --
-        one request per shard per round, shard index ascending -- so a
-        multicore trace fans out and each shard's queue drains
-        independently.  Results come back in the input order.
-        """
-        per_shard: List[List[int]] = [[] for _ in range(self.num_shards)]
-        for position, (addr, _now, _w) in enumerate(requests):
-            per_shard[addr % self.num_shards].append(position)
-        results: List[Optional[DemandResult]] = [None] * len(requests)
-        round_index = 0
-        remaining = len(requests)
-        while remaining:
-            for shard_index in range(self.num_shards):
-                queue = per_shard[shard_index]
-                if round_index >= len(queue):
-                    continue
-                position = queue[round_index]
-                addr, now, is_write = requests[position]
-                results[position] = self.demand_access(addr, now, is_write)
-                remaining -= 1
-            round_index += 1
-        return results  # type: ignore[return-value]
-
     # ----------------------------------------------------------- cache events
     def evict_line(self, addr: int, dirty: bool, now: int) -> None:
         shard, local = self._split(addr)
@@ -325,66 +318,16 @@ class ShardedORAMBank(MemoryBackend):
 
     @property
     def stats(self) -> BackendStats:  # type: ignore[override]
-        """Aggregate counters summed over every shard (a fresh snapshot)."""
-        total = BackendStats()
-        for shard in self.shards:
-            s = shard.stats
-            total.demand_requests += s.demand_requests
-            total.prefetch_requests += s.prefetch_requests
-            total.write_accesses += s.write_accesses
-            total.memory_accesses += s.memory_accesses
-            total.dummy_accesses += s.dummy_accesses
-            total.posmap_accesses += s.posmap_accesses
-            total.busy_cycles += s.busy_cycles
-            total.transient_faults += s.transient_faults
-            total.fault_retries += s.fault_retries
-            total.fault_delay_cycles += s.fault_delay_cycles
-            total.forced_evictions += s.forced_evictions
-        return total
+        """Aggregate counters folded over every shard (a fresh snapshot)."""
+        from repro.sim.results import fold_shard_records
+
+        total = fold_shard_records(self.snapshot_shards())
+        return BackendStats(**total["stats"], **total.get("faults", {}))
 
     @stats.setter
     def stats(self, value: BackendStats) -> None:
         raise AttributeError("bank stats are an aggregate view over the shards")
 
-    def stash_max_occupancy(self) -> int:
-        """Worst stash watermark across the channels."""
-        return max(shard.oram.stash.max_occupancy for shard in self.shards)
-
-    def stash_soft_overflows(self) -> int:
-        return sum(shard.oram.stash_soft_overflows for shard in self.shards)
-
-    def aggregate_posmap_hit_rate(self) -> float:
-        """Lookup-weighted PosMap cache hit rate over all shards.
-
-        Guarded for the no-lookup case (e.g. a bank that never saw a
-        miss): returns 0.0 instead of dividing by zero, matching
-        :meth:`repro.oram.recursion.PosMapHierarchy.hit_rate`.
-        """
-        lookups = sum(shard.posmap_hierarchy.lookups for shard in self.shards)
-        if lookups == 0:
-            return 0.0
-        hits = sum(shard.posmap_hierarchy.cache_hits for shard in self.shards)
-        return hits / lookups
-
-    def phase_breakdown(self) -> dict:
-        """Per-phase cycle attribution summed over every shard."""
-        total: dict = {}
-        for shard in self.shards:
-            for name, cycles in shard.phase_cycles.items():
-                total[name] = total.get(name, 0) + cycles
-        return total
-
     def snapshot_shards(self) -> List[dict]:
-        """Per-channel counter snapshots (:func:`snapshot_shard_stats`)."""
+        """Per-channel counter records (:func:`snapshot_shard_stats`)."""
         return [snapshot_shard_stats(shard) for shard in self.shards]
-
-    def check_invariants(self) -> None:
-        """Audit every channel's ORAM (tests / fsck)."""
-        for shard in self.shards:
-            shard.oram.check_invariants()
-
-    @property
-    def background_eviction_rate(self) -> float:
-        stats = self.stats
-        total = stats.demand_requests + stats.dummy_accesses
-        return stats.dummy_accesses / total if total else 0.0

@@ -16,7 +16,7 @@ protected wrapper).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
 
@@ -56,6 +56,20 @@ class BackendStats:
     fault_delay_cycles: int = 0
     #: background evictions forced by the degradation path (stash pressure)
     forced_evictions: int = 0
+
+
+#: the fault-resilience counters of :class:`BackendStats`: zero on a backend
+#: without a fault ladder, and reported in ``SimResult.extra``
+FAULT_STAT_FIELDS = (
+    "transient_faults",
+    "fault_retries",
+    "fault_delay_cycles",
+    "forced_evictions",
+)
+#: the other :class:`BackendStats` counters, each a ``SimResult`` field
+RESULT_STAT_FIELDS = tuple(
+    f.name for f in fields(BackendStats) if f.name not in FAULT_STAT_FIELDS
+)
 
 
 class MemoryBackend(ABC):

@@ -16,6 +16,7 @@ a registry), and the registry is populated by copying after the run.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Dict, Optional
 
 from .metrics import CycleHistogram, MetricsRegistry
@@ -26,7 +27,7 @@ from .spans import is_span
 def _treetop_flushes(registry: MetricsRegistry, prefix: str, oram) -> None:
     """Export ``{prefix}.treetop_flushes`` / ``.treetop_flushed_buckets``
     when the controller's tree carries a treetop cache."""
-    cache = getattr(getattr(oram, "tree", None), "treetop", None)
+    cache = oram.tree.treetop
     if cache is None:
         return
     registry.counter(f"{prefix}.treetop_flushes").set(cache.flushes)
@@ -40,6 +41,10 @@ def collect_system(system, registry: Optional[MetricsRegistry] = None) -> Metric
     ``oram.*``, ``pipeline.*``, ``bank.*``, ``faults.*``, ``scheme.*``.
     The flat legacy key of each metric is the name after the first dot.
     """
+    # Local imports: the controller and simulator import this package.
+    from repro.controller.sharded import snapshot_shard_stats
+    from repro.sim.results import fold_shard_records
+
     registry = registry if registry is not None else MetricsRegistry()
     hierarchy = system.hierarchy
     registry.counter("cache.l1_hits").set(hierarchy.l1.hits)
@@ -50,31 +55,31 @@ def collect_system(system, registry: Optional[MetricsRegistry] = None) -> Metric
     registry.counter("cache.llc_tag_probes").set(hierarchy.llc.probe_count)
 
     backend = system.backend
-    stats = backend.stats
-    registry.counter("backend.demand_requests").set(stats.demand_requests)
-    registry.counter("backend.write_accesses").set(stats.write_accesses)
-    registry.counter("backend.posmap_accesses").set(stats.posmap_accesses)
-    registry.counter("backend.dummy_accesses").set(stats.dummy_accesses)
-    registry.counter("backend.memory_accesses").set(stats.memory_accesses)
+    # A single controller and a sharded bank report the same fold of
+    # their per-shard records; a DRAM backend has no controller.
+    bank_shards = getattr(backend, "shards", None)
+    shards = bank_shards or ([backend] if hasattr(backend, "oram") else [])
+    total = fold_shard_records(snapshot_shard_stats(shard) for shard in shards)
+    stats = total["stats"] if shards else asdict(backend.stats)
+    for name in (
+        "demand_requests",
+        "write_accesses",
+        "posmap_accesses",
+        "dummy_accesses",
+        "memory_accesses",
+    ):
+        registry.counter(f"backend.{name}").set(stats[name])
 
-    oram = getattr(backend, "oram", None)
-    if oram is not None:
-        registry.gauge("oram.stash_max_occupancy").set(oram.stash.max_occupancy)
-        registry.counter("oram.stash_soft_overflows").set(oram.stash_soft_overflows)
-        registry.counter("oram.real_path_accesses").set(oram.real_accesses)
-        registry.counter("oram.dummy_path_accesses").set(oram.dummy_accesses)
-
-    # Per-phase cycle attribution: a single controller exposes its
-    # counters directly; a sharded bank sums over its channels.
-    phase_cycles = getattr(backend, "phase_cycles", None)
-    if phase_cycles is not None:
-        for name, cycles in phase_cycles.items():
+    if shards:
+        registry.gauge("oram.stash_max_occupancy").set(total["stash_max_occupancy"])
+        registry.counter("oram.stash_soft_overflows").set(total["stash_soft_overflows"])
+        registry.counter("oram.real_path_accesses").set(total["real_path_accesses"])
+        registry.counter("oram.dummy_path_accesses").set(total["dummy_path_accesses"])
+        for name, cycles in total["phase_cycles"].items():
             registry.counter(f"pipeline.phase_{name}_cycles").set(cycles)
-    elif hasattr(backend, "phase_breakdown"):
-        for name, cycles in backend.phase_breakdown().items():
-            registry.counter(f"pipeline.phase_{name}_cycles").set(cycles)
+    if bank_shards:
         registry.gauge("bank.num_shards").set(backend.num_shards)
-        health = getattr(backend, "health", None)
+        health = backend.health
         if health is not None:
             health.to_registry(registry)
 
@@ -83,38 +88,25 @@ def collect_system(system, registry: Optional[MetricsRegistry] = None) -> Metric
     # treetop flush counter lives on the functional tree (write-back is a
     # tree-side event) but is exported under the interconnect namespace
     # next to its hit/bytes-saved siblings.
-    interconnect = getattr(backend, "interconnect", None)
-    if interconnect is not None:
-        interconnect.to_registry(registry)
-        _treetop_flushes(registry, "interconnect", getattr(backend, "oram", None))
-    elif hasattr(backend, "shards"):
-        for index, shard in enumerate(backend.shards):
-            shard_interconnect = getattr(shard, "interconnect", None)
-            if shard_interconnect is not None:
-                shard_interconnect.to_registry(
-                    registry, prefix=f"interconnect.shard{index}"
-                )
-                _treetop_flushes(
-                    registry,
-                    f"interconnect.shard{index}",
-                    getattr(shard, "oram", None),
-                )
+    if bank_shards:
+        for index, shard in enumerate(bank_shards):
+            prefix = f"interconnect.shard{index}"
+            shard.interconnect.to_registry(registry, prefix=prefix)
+            _treetop_flushes(registry, prefix, shard.oram)
+    elif shards:
+        backend.interconnect.to_registry(registry)
+        _treetop_flushes(registry, "interconnect", backend.oram)
 
-    injector = getattr(backend, "injector", None)
+    for name, value in total.get("faults", {}).items():
+        registry.counter(f"faults.{name}").set(value)
+    # Bank shards share one injector: its count is read once, not summed.
+    injector = shards[0].injector if shards else None
     if injector is not None:
-        registry.counter("faults.transient_faults").set(stats.transient_faults)
-        registry.counter("faults.fault_retries").set(stats.fault_retries)
-        registry.counter("faults.fault_delay_cycles").set(stats.fault_delay_cycles)
-        registry.counter("faults.forced_evictions").set(stats.forced_evictions)
         registry.counter("faults.injected_faults").set(injector.stats.total_injected)
 
-    scheme = getattr(backend, "scheme", None)
-    if scheme is not None:
-        registry.counter("scheme.merges").set(scheme.stats.merges)
-        registry.counter("scheme.breaks").set(scheme.stats.breaks)
-        registry.counter("scheme.prefetched_blocks").set(scheme.stats.prefetched_blocks)
-        registry.counter("scheme.prefetch_hits").set(scheme.stats.prefetch_hits)
-        registry.counter("scheme.prefetch_misses").set(scheme.stats.prefetch_misses)
+    if shards:
+        for name, value in total["scheme_stats"].items():
+            registry.counter(f"scheme.{name}").set(value)
     return registry
 
 

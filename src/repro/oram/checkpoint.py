@@ -31,11 +31,14 @@ import binascii
 import json
 import os
 import tempfile
+from dataclasses import fields
 from typing import Callable, Optional
 
 from repro.config import ORAMConfig
+from repro.memory.backend import BackendStats
 from repro.oram.block import Block
 from repro.oram.path_oram import PathORAM
+from repro.oram.super_block import SchemeStats
 from repro.utils.rng import DeterministicRng
 
 FORMAT_VERSION = 1
@@ -367,28 +370,9 @@ def restore_oram(
 
 BACKEND_FORMAT_VERSION = 1
 
-#: BackendStats fields round-tripped through a backend checkpoint.
-_BACKEND_STAT_FIELDS = (
-    "demand_requests",
-    "prefetch_requests",
-    "write_accesses",
-    "memory_accesses",
-    "dummy_accesses",
-    "posmap_accesses",
-    "busy_cycles",
-    "transient_faults",
-    "fault_retries",
-    "fault_delay_cycles",
-    "forced_evictions",
-)
-
-_SCHEME_STAT_FIELDS = (
-    "merges",
-    "breaks",
-    "prefetched_blocks",
-    "prefetch_hits",
-    "prefetch_misses",
-)
+#: counters round-tripped through a backend checkpoint
+_BACKEND_STAT_FIELDS = tuple(f.name for f in fields(BackendStats))
+_SCHEME_STAT_FIELDS = tuple(f.name for f in fields(SchemeStats))
 
 
 def dump_backend_state(backend, runtime_state: Optional[dict] = None) -> str:

@@ -5,11 +5,12 @@ stream through ``N`` worker processes and merging must produce the *same*
 :class:`~repro.sim.results.SimResult` -- bit-identical, field for field --
 as replaying the stream through an in-process
 :class:`~repro.controller.sharded.ShardedORAMBank` of the same width.
-Both sides funnel through this module: the snapshots come from
+Both sides funnel through this module: the records come from
 :func:`repro.controller.sharded.snapshot_shard_stats` either way, and
-:func:`merge_shard_snapshots` is the only place aggregate semantics live
-(sum the counters, max the watermarks, lookup-weight the hit rate), so
-identity is structural rather than a property to chase.
+:func:`merge_shard_snapshots` folds them with
+:func:`repro.sim.results.fold_shard_records` -- the same fold
+:meth:`repro.sim.system.SecureSystem.run` uses -- so identity is
+structural rather than a property to chase.
 """
 
 from __future__ import annotations
@@ -17,18 +18,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
-from repro.sim.results import SimResult
-
-#: merged-counter fields summed straight off each shard's ``stats`` dict
-_SUMMED_STAT_FIELDS = (
-    "demand_requests",
-    "prefetch_requests",
-    "write_accesses",
-    "memory_accesses",
-    "dummy_accesses",
-    "posmap_accesses",
-    "busy_cycles",
-)
+from repro.sim.results import SimResult, fold_shard_records
 
 
 def requests_from_trace(trace) -> List[Tuple[int, int, bool]]:
@@ -57,8 +47,8 @@ def merge_shard_snapshots(
     """Fold per-shard counter snapshots into one bank-level result.
 
     Args:
-        snapshots: one :func:`snapshot_shard_stats` dict per shard, in
-            shard order.
+        snapshots: one :func:`~repro.controller.sharded.snapshot_shard_stats`
+            record per shard, in shard order.
         completions: completion cycle of every request, in input order;
             the run's cycle count is the last finishing one.
         workload: label for the result's workload field.
@@ -70,33 +60,9 @@ def merge_shard_snapshots(
         cycles=max(completions, default=0),
         trace_entries=len(completions),
         llc_misses=len(completions),
+        extra={"num_shards": len(snapshots)},
     )
-    for name in _SUMMED_STAT_FIELDS:
-        setattr(result, name, sum(snap["stats"][name] for snap in snapshots))
-    result.stash_max_occupancy = max(
-        snap["stash_max_occupancy"] for snap in snapshots
-    )
-    lookups = sum(snap["posmap_lookups"] for snap in snapshots)
-    hits = sum(snap["posmap_cache_hits"] for snap in snapshots)
-    result.posmap_cache_hit_rate = hits / lookups if lookups else 0.0
-    for snap in snapshots:
-        scheme_stats = snap["scheme_stats"]
-        result.merges += scheme_stats["merges"]
-        result.breaks += scheme_stats["breaks"]
-        result.prefetched_blocks += scheme_stats["prefetched_blocks"]
-        result.prefetch_hits += scheme_stats["prefetch_hits"]
-        result.prefetch_misses += scheme_stats["prefetch_misses"]
-    result.extra["num_shards"] = len(snapshots)
-    result.extra["stash_soft_overflows"] = sum(
-        snap["stash_soft_overflows"] for snap in snapshots
-    )
-    phase_totals: dict = {}
-    for snap in snapshots:
-        for name, cycles in snap["phase_cycles"].items():
-            phase_totals[name] = phase_totals.get(name, 0) + cycles
-    for name, cycles in phase_totals.items():
-        result.extra[f"phase_{name}_cycles"] = cycles
-    return result
+    return result.add_backend_record(fold_shard_records(snapshots))
 
 
 def run_serial_reference(
@@ -134,8 +100,13 @@ def run_serial_reference(
         for index in range(num_shards)
     ]
     bank = ShardedORAMBank(shards)
-    results = bank.access_batch(list(requests))
-    completions: List[int] = [r.completion_cycle for r in results]
+    # Shards share no recorder, injector or health plane here, so serving
+    # the stream in input order gives every shard its arrival-ordered
+    # sub-stream -- exactly what a worker process sees.
+    completions: List[int] = [
+        bank.demand_access(addr, now, is_write).completion_cycle
+        for addr, now, is_write in requests
+    ]
     bank.finalize(max(completions, default=0))
     if fsck:
         from repro.faults.fsck import run_fsck_bank

@@ -2,8 +2,8 @@
 
 :class:`ParallelShardRuntime` is the front-end.  It partitions an
 address-tagged request stream across the bank's channels
-(``shard = addr % N``, arrival order preserved within a shard -- the same
-partition :meth:`ShardedORAMBank.access_batch` uses), ships each shard's
+(``shard = addr % N``, arrival order preserved within a shard -- the
+sub-stream each shard of the serial reference sees), ships each shard's
 sub-stream as sequence-numbered batches to a worker process, and merges
 the per-shard completions and counter snapshots back into the exact
 :class:`~repro.sim.results.SimResult` the in-process serial bank produces.
@@ -594,7 +594,7 @@ class ParallelShardRuntime:
         requests = list(requests)
         num_workers = self.num_workers
         # Partition by channel, preserving arrival order within a shard --
-        # the same split the serial bank's access_batch performs.
+        # the sub-stream each shard of the serial reference serves.
         per_worker: List[List[Tuple[int, Tuple[int, int, bool]]]] = [
             [] for _ in range(num_workers)
         ]

@@ -2,12 +2,54 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass, field, fields
+from typing import Dict, Iterable
 
-#: ``extra`` keys that describe the configuration rather than count events;
-#: a measurement window keeps their final values instead of differencing.
+#: ``extra`` keys that describe the configuration rather than count events:
+#: a measurement window keeps their final values instead of differencing,
+#: and a fold over shards keeps one shard's value instead of summing.
 _CONFIG_EXTRA_KEYS = frozenset({"num_shards", "interconnect_channels"})
+
+#: shard-record counters that are high-water marks: a fold takes the max
+_WATERMARK_KEYS = frozenset({"stash_max_occupancy", "busy_until"})
+
+#: fields :meth:`SimResult.delta` does not difference: the labels, ``extra``
+#: (differenced key by key), and the stash watermark and PosMap hit rate,
+#: which keep their final values
+_NOT_ADDITIVE = frozenset(
+    {"workload", "scheme", "extra", "stash_max_occupancy", "posmap_cache_hit_rate"}
+)
+
+
+def fold_shard_records(records: Iterable[dict]) -> dict:
+    """Fold per-shard counter records into one record of the same shape.
+
+    This is the only place per-shard counters are combined.  The records
+    come from :func:`repro.controller.sharded.snapshot_shard_stats`, so a
+    single controller, an in-process bank, worker processes and the serve
+    front end all aggregate through the same arithmetic: counters are
+    summed (nested groups key by key), the watermarks in
+    ``_WATERMARK_KEYS`` take the max, and the configuration keys in
+    ``_CONFIG_EXTRA_KEYS`` keep the first shard's value.  A group only
+    some records carry (fault counters, interconnect occupancy) folds over
+    the records that have it.
+    """
+    total: dict = {}
+    for record in records:
+        _fold_into(total, record)
+    return total
+
+
+def _fold_into(total: dict, record: dict) -> None:
+    for name, value in record.items():
+        if isinstance(value, dict):
+            _fold_into(total.setdefault(name, {}), value)
+        elif name not in total:
+            total[name] = value
+        elif name in _WATERMARK_KEYS:
+            total[name] = max(total[name], value)
+        elif name not in _CONFIG_EXTRA_KEYS:
+            total[name] += value
 
 
 @dataclass
@@ -68,6 +110,32 @@ class SimResult:
         total = self.demand_requests + self.dummy_accesses
         return self.dummy_accesses / total if total else 0.0
 
+    def add_backend_record(self, record: dict) -> "SimResult":
+        """Set the backend fields from one (folded) shard record.
+
+        Request and scheme counters become fields, the PosMap hit rate is
+        lookup-weighted (0.0 with no lookups), and the stash soft
+        overflows, per-phase cycles, fault counters (only with a fault
+        ladder attached) and interconnect occupancy (only for a non-flat
+        model) land in ``extra``.
+        """
+        for name, value in record["stats"].items():
+            setattr(self, name, value)
+        for name, value in record["scheme_stats"].items():
+            setattr(self, name, value)
+        self.stash_max_occupancy = record["stash_max_occupancy"]
+        lookups = record["posmap_lookups"]
+        self.posmap_cache_hit_rate = (
+            record["posmap_cache_hits"] / lookups if lookups else 0.0
+        )
+        extra = self.extra
+        extra["stash_soft_overflows"] = record["stash_soft_overflows"]
+        for name, cycles in record["phase_cycles"].items():
+            extra[f"phase_{name}_cycles"] = cycles
+        extra.update(record.get("faults", {}))
+        extra.update(record.get("interconnect", {}))
+        return self
+
     def speedup_over(self, baseline: "SimResult") -> float:
         """The paper's speedup: fraction of time saved relative to baseline.
 
@@ -101,25 +169,7 @@ class SimResult:
         values.  Used to discard cache/ORAM warmup so short traces
         measure steady-state behaviour like the paper's long runs.
         """
-        additive = [
-            "cycles",
-            "trace_entries",
-            "l1_hits",
-            "llc_hits",
-            "llc_misses",
-            "demand_requests",
-            "prefetch_requests",
-            "write_accesses",
-            "memory_accesses",
-            "dummy_accesses",
-            "posmap_accesses",
-            "busy_cycles",
-            "merges",
-            "breaks",
-            "prefetched_blocks",
-            "prefetch_hits",
-            "prefetch_misses",
-        ]
+        additive = [f.name for f in fields(SimResult) if f.name not in _NOT_ADDITIVE]
         out = SimResult(
             workload=final.workload,
             scheme=final.scheme,

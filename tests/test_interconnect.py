@@ -343,6 +343,9 @@ class TestParallelRuntimeWithChannels:
             dram=dataclasses.replace(config.dram, model="channel", num_channels=4),
         )
         serial = run_serial_reference("dyn", 128, requests, config, num_shards=2)
+        # The merged result carries the interconnect counters, so the
+        # identity below covers them too.
+        assert serial.extra["interconnect_streamed_paths"] > 0
         with ParallelShardRuntime("dyn", 128, config, 2, batch_size=23) as runtime:
             parallel = runtime.run(requests)
         assert dataclasses.asdict(parallel) == dataclasses.asdict(serial)

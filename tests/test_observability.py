@@ -299,6 +299,37 @@ class TestCollection:
         merged = collect_system(system, MetricsRegistry())
         assert merged.to_dict() == registry.to_dict()
 
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_collect_system_exports_bank_counters(self, num_shards):
+        injector = FaultInjector(
+            FaultConfig(seed=5, transient_rate=0.02, delay_rate=0.05, delay_cycles=400)
+        )
+        system, result = build_and_run(
+            accesses=1500, fault_injector=injector, num_shards=num_shards
+        )
+        registry = system.metrics()
+        assert registry.value("scheme.merges") == result.merges
+        assert (
+            registry.value("oram.stash_max_occupancy") == result.stash_max_occupancy
+        )
+        assert (
+            registry.value("faults.transient_faults")
+            == result.extra["transient_faults"]
+        )
+
+    def test_collect_system_exports_ladder_without_injector(self):
+        # A resilience ladder alone forces evictions; the metrics report
+        # them just as the result does.
+        system, result = build_and_run(
+            accesses=1500, resilience=ResilienceConfig(stash_soft_fraction=0.01)
+        )
+        assert result.extra["forced_evictions"] > 0
+        registry = system.metrics()
+        assert (
+            registry.value("faults.forced_evictions")
+            == result.extra["forced_evictions"]
+        )
+
     def test_profiler_counters_come_from_collector(self):
         trace = locality_mix_trace(0.8, accesses=500)
         system = SecureSystem.build("dyn", trace.footprint_blocks, experiment_config())

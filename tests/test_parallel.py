@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.config import SystemConfig
+from repro.faults import FaultConfig
 from repro.oram.checkpoint import dump_backend_state, restore_backend_state
 from repro.parallel import (
     ParallelShardRuntime,
@@ -87,6 +88,18 @@ class TestParallelDeterminism:
                 return runtime.run(requests)
 
         assert dataclasses.asdict(once()) == dataclasses.asdict(once())
+
+    def test_runtime_with_fault_config_reports_fault_counters(self):
+        # Each worker owns a salted injector, so its fault counters ride in
+        # its shard record and the merge sums them.
+        faults = FaultConfig(seed=4, transient_rate=0.05, delay_rate=0.05, delay_cycles=60)
+        with ParallelShardRuntime(
+            "dyn", FOOTPRINT, SystemConfig(), 2, batch_size=16, fault_config=faults
+        ) as runtime:
+            result = runtime.run(small_stream(accesses=200))
+        assert result.extra["transient_faults"] > 0
+        assert result.extra["fault_retries"] == result.extra["transient_faults"]
+        assert result.extra["fault_delay_cycles"] > 0
 
     def test_serial_reference_matches_trace_derived_stream(self):
         trace = locality_mix_trace(0.8, accesses=300)

@@ -2,16 +2,21 @@
 
 Covers the :class:`~repro.controller.sharded.ShardedORAMBank` acceptance
 surface: builder guards, the 1-shard bypass (bit-identical to the plain
-controller), address interleaving, deterministic batching, aggregate
-statistics views, the merged ``fsck`` audit, fault injection through a
-bank, and the divide-by-zero regression on aggregate posmap rates.
+controller), address interleaving, deterministic batch replay, aggregate
+statistics folded from per-shard records, the merged ``fsck`` audit,
+fault injection through a bank, and the divide-by-zero regression on
+aggregate posmap rates.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.controller.sharded import ShardedORAMBank
 from repro.faults import FaultConfig, FaultInjector, run_fsck_bank
 from repro.memory.oram_backend import ORAMBackend
+from repro.parallel import run_serial_reference
+from repro.sim.results import SimResult, fold_shard_records
 from repro.sim.system import SecureSystem
 from repro.workloads.synthetic import locality_mix_trace
 
@@ -125,23 +130,17 @@ class TestAddressInterleaving:
 
 
 class TestBatchedAccess:
-    REQUESTS = [(a, 0, False) for a in [5, 8, 1, 13, 2, 6, 10, 3]]
+    """The serial reference replays a request batch on a fresh bank."""
 
-    def test_results_in_input_order(self):
-        bank = build_sharded(num_shards=4).backend
-        results = bank.access_batch(self.REQUESTS)
-        assert len(results) == len(self.REQUESTS)
-        for (addr, _, _), result in zip(self.REQUESTS, results):
-            assert addr in [a for a, _ in result.filled]
+    REQUESTS = [(a, 0, False) for a in [5, 8, 1, 13, 2, 6, 10, 3]]
 
     def test_batch_deterministic_across_fresh_banks(self):
         def one_batch():
-            bank = build_sharded(num_shards=4).backend
-            bank.access_batch(self.REQUESTS)
-            stats = bank.stats
-            return bank.busy_until, stats.memory_accesses, stats.demand_requests
+            return run_serial_reference("dyn", FOOTPRINT, self.REQUESTS, num_shards=4)
 
-        assert one_batch() == one_batch()
+        first = one_batch()
+        assert first.demand_requests == len(self.REQUESTS)
+        assert dataclasses.asdict(first) == dataclasses.asdict(one_batch())
 
 
 class TestAggregateViews:
@@ -171,13 +170,14 @@ class TestAggregateViews:
 
     def test_phase_breakdown_sums_pipelines(self):
         system = build_sharded(num_shards=4)
-        system.run(short_trace())
+        result = system.run(short_trace())
         bank = system.backend
-        breakdown = bank.phase_breakdown()
+        breakdown = fold_shard_records(bank.snapshot_shards())["phase_cycles"]
         for name in ("posmap", "path_read", "writeback"):
             assert breakdown[name] == sum(
                 shard.phase_cycles[name] for shard in bank.shards
             )
+            assert result.extra[f"phase_{name}_cycles"] == breakdown[name]
 
 
 class TestPosmapRateRegression:
@@ -190,13 +190,14 @@ class TestPosmapRateRegression:
 
     def test_fresh_bank_aggregate_rate_is_zero(self):
         bank = build_sharded(num_shards=4).backend
-        assert bank.aggregate_posmap_hit_rate() == 0.0
+        total = fold_shard_records(bank.snapshot_shards())
+        assert total["posmap_lookups"] == 0
+        result = SimResult("fresh", "dyn", cycles=0, trace_entries=0)
+        assert result.add_backend_record(total).posmap_cache_hit_rate == 0.0
 
     def test_used_bank_rate_in_unit_interval(self):
-        system = build_sharded(num_shards=4)
-        system.run(short_trace())
-        rate = system.backend.aggregate_posmap_hit_rate()
-        assert 0.0 <= rate <= 1.0
+        result = build_sharded(num_shards=4).run(short_trace())
+        assert 0.0 < result.posmap_cache_hit_rate <= 1.0
 
 
 class TestBankFsck:
