@@ -55,6 +55,7 @@ chaos:
 
 perfbench:
 	python3 perfbench/run.py --workload replay_locality --seed 1 --seconds 40 --trace 1
+	python3 perfbench/run.py --workload serve_open --seed 1 --seconds 10 --trace 1
 
 examples:
 	$(PYTHON) examples/quickstart.py

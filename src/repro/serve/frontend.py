@@ -35,6 +35,7 @@ in arrival order -- bit-identical, via the shared snapshot/merge path, to
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import ServeConfig, SystemConfig
@@ -78,6 +79,12 @@ class ServingFrontEnd:
 
     A front end drives its bank's state forward, so :meth:`run` may be
     called once per instance.
+
+    Every per-event step is constant-time: the loop keeps running
+    bookkeeping (per-shard close cycles, the backlog count, a coalescing
+    key memo, per-shard quotas, bound metric instruments) instead of
+    rescanning its batches and queues (DESIGN.md section 12,
+    "Incremental bookkeeping").
     """
 
     def __init__(
@@ -98,11 +105,24 @@ class ServingFrontEnd:
         num_shards = bank.num_shards
         self.queues: Optional[TenantQueues] = None
         self._open_batches: List[List[_Access]] = [[] for _ in range(num_shards)]
+        #: deadline-close cycle of each shard's open batch: the minimum of
+        #: ``arrival + int(deadline * fraction)`` over its member requests,
+        #: None while the batch is empty
+        self._close_at: List[Optional[int]] = [None] * num_shards
+        #: requests riding accesses in open batches (part of the backlog)
+        self._batched = 0
         self._open_groups: Dict[Tuple[int, int], _Access] = {}
         self._inflight_groups: Dict[Tuple[int, int], _Access] = {}
+        #: coalescing key per address; super-block membership only moves
+        #: inside an access, so the memo is cleared on every issue
+        self._keys: Dict[int, Tuple[int, int]] = {}
+        #: batch quota per shard, set when the run starts; health state
+        #: only moves on an access, which refreshes its shard's entry
+        self._quotas: List[int] = []
         self._outstanding: List[int] = [0] * num_shards
-        self._fallback: List[List[Request]] = [[] for _ in range(num_shards)]
-        self._comp_heap: List[Tuple[int, int, _Access]] = []
+        self._fallback: List[deque] = [deque() for _ in range(num_shards)]
+        self._fallback_depth = 0
+        self._comp_heap: List[Tuple[int, int, object]] = []
         self._event_seq = 0
         #: (addr, issue_cycle, is_write) in issue order -- replayable
         #: through ``run_serial_reference`` / ``ParallelShardRuntime.run``
@@ -163,32 +183,68 @@ class ServingFrontEnd:
         self._ran = True
         self.queues = TenantQueues(source.weights, self.config.queue_capacity)
         self._tenant_counts = [TenantReport(tenant=t) for t in range(source.num_tenants)]
+        registry = self.registry
+        self._latency_hist = registry.histogram("serve.latency_cycles")
+        self._tenant_latency = [
+            registry.histogram(f"serve.tenant{t}.latency_cycles")
+            for t in range(source.num_tenants)
+        ]
         if self.config.enabled:
+            self._bind_serve_metrics()
+            self._quotas = [self._quota(s) for s in range(self.bank.num_shards)]
             self._serve_loop(source)
         else:
             self._bypass_loop(source)
         return self._finish(source)
 
+    def _bind_serve_metrics(self) -> None:
+        """Look every serving instrument up once, not once per event.
+
+        The counters are the set :func:`~repro.observability.collect_serve`
+        always exports.  The two issue-side histograms are bound on first
+        use, so a run that never issues exports neither.
+        """
+        counter = self.registry.counter
+        self._offered = counter("serve.offered")
+        self._admitted = counter("serve.admitted")
+        self._rerouted = counter("serve.rerouted")
+        self._shed_total = counter("serve.shed")
+        self._shed_reasons = {
+            reason: counter(f"serve.shed_{reason}")
+            for reason in ("queue_full", "pressure", "backlog")
+        }
+        self._coalesced = counter("serve.coalesced")
+        self._served = counter("serve.served")
+        self._deadline_misses = counter("serve.deadline_misses")
+        self._fallback_issues = counter("serve.fallback_issues")
+        self._batches = counter("serve.batches")
+        self._closes = {
+            reason: counter(f"serve.{reason}_closes")
+            for reason in ("full", "deadline", "drain")
+        }
+        self._wait_hist = None
+        self._occupancy_hist = None
+
     # ------------------------------------------------------------ event loops
     def _serve_loop(self, source: LoadSource) -> None:
         now = 0
+        next_close = None
+        comp_heap = self._comp_heap
         while True:
-            next_arrival = source.next_arrival_cycle()
-            next_completion = self._comp_heap[0][0] if self._comp_heap else None
-            next_close = self._next_close()
-            candidates = [
-                c for c in (next_arrival, next_completion, next_close)
-                if c is not None
-            ]
-            if not candidates:
+            next_event = source.next_arrival_cycle()
+            if comp_heap and (next_event is None or comp_heap[0][0] < next_event):
+                next_event = comp_heap[0][0]
+            if next_close is not None and (next_event is None or next_close < next_event):
+                next_event = next_close
+            if next_event is None:
                 break
-            now = max(now, min(candidates))
-            while self._comp_heap and self._comp_heap[0][0] <= now:
-                _, _, access = heapq.heappop(self._comp_heap)
-                self._complete(access, source)
+            if next_event > now:
+                now = next_event
+            while comp_heap and comp_heap[0][0] <= now:
+                self._complete(heapq.heappop(comp_heap)[2], source)
             for request in source.take_arrivals(now):
                 self._admit(request, source, now)
-            self._pump(source, now)
+            next_close = self._pump(source, now)
 
     def _bypass_loop(self, source: LoadSource) -> None:
         """Front end disabled: issue each request at its arrival cycle.
@@ -199,63 +255,61 @@ class ServingFrontEnd:
         bit-identical to the no-front-end bank.
         """
         counters = self._tenant_counts
-        latency_hist = self.registry.histogram("serve.latency_cycles")
+        latency_hist = self._latency_hist
+        tenant_latency = self._tenant_latency
+        comp_heap = self._comp_heap
+        bank = self.bank
         while True:
-            next_arrival = source.next_arrival_cycle()
-            next_completion = self._comp_heap[0][0] if self._comp_heap else None
-            if next_arrival is None and next_completion is None:
+            now = source.next_arrival_cycle()
+            if comp_heap and (now is None or comp_heap[0][0] < now):
+                now = comp_heap[0][0]
+            if now is None:
                 break
-            now = min(c for c in (next_arrival, next_completion) if c is not None)
-            while self._comp_heap and self._comp_heap[0][0] <= now:
-                _, _, access = heapq.heappop(self._comp_heap)
-                request = access.requests[0]
-                source.on_completion(request, access.completion_cycle)
+            while comp_heap and comp_heap[0][0] <= now:
+                completion, _, request = heapq.heappop(comp_heap)
+                source.on_completion(request, completion)
             for request in source.take_arrivals(now):
                 self.all_requests.append(request)
                 tenant = counters[request.tenant]
                 tenant.offered += 1
                 tenant.admitted += 1
-                access = _Access(request, None)
-                access.shard = self.bank.shard_of(request.addr)
-                result = self.bank.demand_access(
-                    request.addr, request.arrival_cycle, request.is_write
-                )
-                access.completion_cycle = result.completion_cycle
-                self.issued.append(
-                    (request.addr, request.arrival_cycle, request.is_write)
-                )
-                self.access_completions.append(result.completion_cycle)
+                arrival = request.arrival_cycle
+                completion = bank.demand_access(
+                    request.addr, arrival, request.is_write
+                ).completion_cycle
+                self.issued.append((request.addr, arrival, request.is_write))
+                self.access_completions.append(completion)
                 request.status = SERVED
-                request.completion_cycle = result.completion_cycle
-                self._makespan = max(self._makespan, result.completion_cycle)
-                self._sum_latency += request.latency
-                latency_hist.record(request.latency)
-                self.registry.histogram(
-                    f"serve.tenant{request.tenant}.latency_cycles"
-                ).record(request.latency)
+                request.completion_cycle = completion
+                if completion > self._makespan:
+                    self._makespan = completion
+                latency = completion - arrival
+                self._sum_latency += latency
+                latency_hist.record(latency)
+                tenant_latency[request.tenant].record(latency)
                 tenant.served += 1
-                heapq.heappush(
-                    self._comp_heap,
-                    (result.completion_cycle, self._event_seq, access),
-                )
+                heapq.heappush(comp_heap, (completion, self._event_seq, request))
                 self._event_seq += 1
 
     # -------------------------------------------------------------- admission
     def _admit(self, request: Request, source: LoadSource, now: int) -> None:
         config = self.config
         self.all_requests.append(request)
-        self._tenant_counts[request.tenant].offered += 1
-        self.registry.counter("serve.offered").inc()
+        counts = self._tenant_counts[request.tenant]
+        counts.offered += 1
+        self._offered.inc()
         shard = self.bank.shard_of(request.addr)
         if self.health is not None and self.health.should_reroute(shard):
-            if len(self._fallback[shard]) >= config.queue_capacity:
+            lane = self._fallback[shard]
+            if len(lane) >= config.queue_capacity:
                 self._shed(request, source, now, "queue_full")
                 return
             request.rerouted = True
-            self._fallback[shard].append(request)
-            self._tenant_counts[request.tenant].admitted += 1
-            self.registry.counter("serve.admitted").inc()
-            self.registry.counter("serve.rerouted").inc()
+            lane.append(request)
+            self._fallback_depth += 1
+            counts.admitted += 1
+            self._admitted.inc()
+            self._rerouted.inc()
             return
         if (
             config.stash_shed_fraction > 0.0
@@ -263,115 +317,115 @@ class ServingFrontEnd:
         ):
             self._shed(request, source, now, "pressure")
             return
-        if config.max_backlog and self._backlog() >= config.max_backlog:
+        if (
+            config.max_backlog
+            and self.queues.size + self._batched + self._fallback_depth
+            >= config.max_backlog
+        ):
+            # admitted but unissued: queued, batched or in a fallback lane
             self._shed(request, source, now, "backlog")
             return
         if not self.queues.push(request):
             self._shed(request, source, now, "queue_full")
             return
-        self._tenant_counts[request.tenant].admitted += 1
-        self.registry.counter("serve.admitted").inc()
+        counts.admitted += 1
+        self._admitted.inc()
 
     def _shed(
         self, request: Request, source: LoadSource, now: int, reason: str
     ) -> None:
         request.status = SHED
         self._tenant_counts[request.tenant].shed += 1
-        self.registry.counter("serve.shed").inc()
-        self.registry.counter(f"serve.shed_{reason}").inc()
+        self._shed_total.inc()
+        self._shed_reasons[reason].inc()
         source.on_shed(request, now)
-
-    def _backlog(self) -> int:
-        """Admitted-but-unissued requests (queued, batched, or fallback)."""
-        return (
-            self.queues.total_depth()
-            + sum(
-                len(access.requests)
-                for batch in self._open_batches
-                for access in batch
-            )
-            + sum(len(lane) for lane in self._fallback)
-        )
 
     # ----------------------------------------------------- batching/coalescing
     def _quota(self, shard: int) -> int:
         throttled = self.health is not None and self.health.throttled(shard)
         return self.config.quota_for(throttled)
 
-    def _close_cycle(self, shard: int) -> int:
-        """Deadline-close cycle of a shard's open batch (min over members)."""
-        fraction = self.config.deadline_close_fraction
-        return min(
-            request.arrival_cycle + int(request.deadline_cycles * fraction)
-            for access in self._open_batches[shard]
-            for request in access.requests
-        )
-
-    def _next_close(self) -> Optional[int]:
-        cycles = [
-            self._close_cycle(shard)
-            for shard in range(self.bank.num_shards)
-            if self._open_batches[shard] and not self._outstanding[shard]
-        ]
-        return min(cycles) if cycles else None
-
-    def _placeable(self, request: Request, now: int) -> bool:
-        shard = self.bank.shard_of(request.addr)
+    def _placeable(self, request: Request) -> bool:
         if self.config.coalesce:
-            key = self.bank.coalesce_key(request.addr)
+            addr = request.addr
+            key = self._keys.get(addr)
+            if key is None:
+                key = self._keys[addr] = self.bank.coalesce_key(addr)
             if key in self._open_groups:
                 return True
-            if key in self._inflight_groups and not request.is_write:
+            if not request.is_write and key in self._inflight_groups:
                 return True
-        return len(self._open_batches[shard]) < self._quota(shard)
+            shard = key[0]
+        else:
+            shard = self.bank.shard_of(request.addr)
+        return len(self._open_batches[shard]) < self._quotas[shard]
 
-    def _place(self, request: Request, now: int) -> None:
-        shard = self.bank.shard_of(request.addr)
-        key = self.bank.coalesce_key(request.addr) if self.config.coalesce else None
-        if key is not None:
-            open_access = self._open_groups.get(key)
-            if open_access is not None:
-                open_access.requests.append(request)
-                open_access.is_write = open_access.is_write or request.is_write
-                self._mark_coalesced(request)
-                return
-            inflight = self._inflight_groups.get(key)
-            if inflight is not None and not request.is_write:
-                # MSHR-style: the super block is already on its way; ride
-                # the pending access and share its completion.
-                inflight.requests.append(request)
-                self._mark_coalesced(request)
-                return
-        access = _Access(request, key)
-        access.shard = shard
-        self._open_batches[shard].append(access)
-        if key is not None:
-            self._open_groups[key] = access
+    def _place(self, request: Request) -> None:
+        key = None
+        access = None
+        if self.config.coalesce:
+            # ``_placeable`` memoized the key when fair dequeue checked this
+            # request, and no access has issued since.
+            key = self._keys[request.addr]
+            access = self._open_groups.get(key)
+            if access is None and not request.is_write:
+                inflight = self._inflight_groups.get(key)
+                if inflight is not None:
+                    # MSHR-style: the super block is already on its way;
+                    # ride the pending access and share its completion.
+                    inflight.requests.append(request)
+                    self._mark_coalesced(request)
+                    return
+        if access is not None:
+            access.requests.append(request)
+            access.is_write = access.is_write or request.is_write
+            self._mark_coalesced(request)
+        else:
+            access = _Access(request, key)
+            access.shard = key[0] if key is not None else self.bank.shard_of(request.addr)
+            self._open_batches[access.shard].append(access)
+            if key is not None:
+                self._open_groups[key] = access
+        # The request now sits in an open batch: it counts towards the
+        # backlog and may bring the batch's deadline close forward.
+        self._batched += 1
+        close = request.arrival_cycle + int(
+            request.deadline_cycles * self.config.deadline_close_fraction
+        )
+        current = self._close_at[access.shard]
+        if current is None or close < current:
+            self._close_at[access.shard] = close
 
     def _mark_coalesced(self, request: Request) -> None:
         request.coalesced = True
         self._tenant_counts[request.tenant].coalesced += 1
-        self.registry.counter("serve.coalesced").inc()
+        self._coalesced.inc()
 
-    def _pump(self, source: LoadSource, now: int) -> None:
+    def _pump(self, source: LoadSource, now: int) -> Optional[int]:
         """Fill batches from the fair queues and issue every ready one.
 
-        Runs to a fixpoint: closing a batch frees quota, which may make
-        more queued requests placeable, which may fill another batch.
+        Runs to a fixpoint: issuing a batch frees quota (and may move
+        coalescing keys), which may make more queued requests placeable,
+        which may fill another batch.  A pass that issues nothing changes
+        nothing a further pass would see, so it is the last.  It returns
+        the earliest deadline close among shards left with an open batch
+        and nothing in flight (None if there is none): that pass looked at
+        every such shard.
         """
+        queues = self.queues
+        placeable = self._placeable
+        outstanding = self._outstanding
         while True:
-            progress = False
-            while True:
-                request = self.queues.pop_where(
-                    lambda r: self._placeable(r, now)
-                )
+            while queues.size:
+                request = queues.pop_where(placeable)
                 if request is None:
                     break
-                self._place(request, now)
-                progress = True
-            drain = source.exhausted and not self.queues
+                self._place(request)
+            progress = False
+            next_close = None
+            drain = None
             for shard in range(self.bank.num_shards):
-                if self._outstanding[shard]:
+                if outstanding[shard]:
                     continue
                 if self._fallback[shard]:
                     self._issue_fallback(shard, now)
@@ -380,49 +434,67 @@ class ServingFrontEnd:
                 batch = self._open_batches[shard]
                 if not batch:
                     continue
-                if len(batch) >= self._quota(shard):
+                close = self._close_at[shard]
+                if len(batch) >= self._quotas[shard]:
                     reason = "full"
-                elif now >= self._close_cycle(shard):
+                elif now >= close:
                     reason = "deadline"
-                elif drain and not self._fallback[shard]:
-                    reason = "drain"
                 else:
-                    continue
+                    if drain is None:
+                        drain = not queues.size and source.exhausted
+                    if not drain:
+                        if next_close is None or close < next_close:
+                            next_close = close
+                        continue
+                    reason = "drain"
                 self._issue_batch(shard, now, reason)
                 progress = True
             if not progress:
-                break
+                return next_close
 
     # ---------------------------------------------------------------- issuing
     def _issue_one(self, access: _Access, shard: int, now: int) -> None:
-        result = self.bank.demand_access(access.addr, now, access.is_write)
+        addr = access.addr
+        result = self.bank.demand_access(addr, now, access.is_write)
+        # The access may have moved super-block membership (a merge, a
+        # break, or the accessed block's new leaf) and fed the shard's
+        # health breaker: memoized keys and the shard's quota are stale.
+        self._keys.clear()
+        if self.health is not None:
+            self._quotas[shard] = self._quota(shard)
         access.shard = shard
-        access.completion_cycle = result.completion_cycle
-        self.issued.append((access.addr, now, access.is_write))
-        self.access_completions.append(result.completion_cycle)
+        completion = result.completion_cycle
+        access.completion_cycle = completion
+        self.issued.append((addr, now, access.is_write))
+        self.access_completions.append(completion)
         self._outstanding[shard] += 1
         if self.config.coalesce:
-            access.inflight_key = self.bank.coalesce_key(access.addr)
-            self._inflight_groups[access.inflight_key] = access
-        wait_hist = self.registry.histogram("serve.queue_wait_cycles")
+            key = self._keys[addr] = self.bank.coalesce_key(addr)
+            access.inflight_key = key
+            self._inflight_groups[key] = access
+        wait_hist = self._wait_hist
+        if wait_hist is None:
+            wait_hist = self._wait_hist = self.registry.histogram(
+                "serve.queue_wait_cycles"
+            )
         for request in access.requests:
             wait_hist.record(now - request.arrival_cycle)
-        heapq.heappush(
-            self._comp_heap, (result.completion_cycle, self._event_seq, access)
-        )
+        heapq.heappush(self._comp_heap, (completion, self._event_seq, access))
         self._event_seq += 1
 
     def _issue_fallback(self, shard: int, now: int) -> None:
         """Serial fallback lane: one rerouted request, one padded access."""
-        request = self._fallback[shard].pop(0)
-        access = _Access(request, None)
-        self.registry.counter("serve.fallback_issues").inc()
-        self._issue_one(access, shard, now)
+        request = self._fallback[shard].popleft()
+        self._fallback_depth -= 1
+        self._fallback_issues.inc()
+        self._issue_one(_Access(request, None), shard, now)
 
     def _issue_batch(self, shard: int, now: int, reason: str) -> None:
         batch = self._open_batches[shard]
         self._open_batches[shard] = []
+        self._close_at[shard] = None
         for access in batch:
+            self._batched -= len(access.requests)
             if access.key is not None:
                 self._open_groups.pop(access.key, None)
         # Super-block membership may have shifted (merges/breaks) since the
@@ -447,37 +519,41 @@ class ServingFrontEnd:
             if len(keep) != len(access.requests):
                 access.requests = keep
                 access.is_write = any(r.is_write for r in keep)
-        self.registry.counter("serve.batches").inc()
-        self.registry.counter(f"serve.{reason}_closes").inc()
-        self.registry.histogram("serve.batch_occupancy").record(len(final))
+        self._batches.inc()
+        self._closes[reason].inc()
+        occupancy = self._occupancy_hist
+        if occupancy is None:
+            occupancy = self._occupancy_hist = self.registry.histogram(
+                "serve.batch_occupancy"
+            )
+        occupancy.record(len(final))
         for access in final:
             self._issue_one(access, shard, now)
 
     # ------------------------------------------------------------- completion
     def _complete(self, access: _Access, source: LoadSource) -> None:
-        shard = access.shard
-        self._outstanding[shard] -= 1
-        if (
-            access.inflight_key is not None
-            and self._inflight_groups.get(access.inflight_key) is access
-        ):
-            del self._inflight_groups[access.inflight_key]
+        self._outstanding[access.shard] -= 1
+        key = access.inflight_key
+        if key is not None and self._inflight_groups.get(key) is access:
+            del self._inflight_groups[key]
         cycle = access.completion_cycle
-        self._makespan = max(self._makespan, cycle)
-        latency_hist = self.registry.histogram("serve.latency_cycles")
+        if cycle > self._makespan:
+            self._makespan = cycle
+        latency_hist = self._latency_hist
+        tenant_latency = self._tenant_latency
+        counts = self._tenant_counts
+        served = self._served
         for request in access.requests:
             request.status = SERVED
             request.completion_cycle = cycle
-            latency = request.latency
+            latency = cycle - request.arrival_cycle
             self._sum_latency += latency
             latency_hist.record(latency)
-            self.registry.histogram(
-                f"serve.tenant{request.tenant}.latency_cycles"
-            ).record(latency)
-            self._tenant_counts[request.tenant].served += 1
-            self.registry.counter("serve.served").inc()
-            if request.missed_deadline:
-                self.registry.counter("serve.deadline_misses").inc()
+            tenant_latency[request.tenant].record(latency)
+            counts[request.tenant].served += 1
+            served.inc()
+            if latency > request.deadline_cycles:
+                self._deadline_misses.inc()
             source.on_completion(request, cycle)
 
     # --------------------------------------------------------------- report

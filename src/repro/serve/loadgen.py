@@ -219,6 +219,8 @@ class ClosedLoopSource(LoadSource):
         self.think_mean = think_mean
         self._rngs: List[DeterministicRng] = []
         self._remaining: List[int] = []
+        #: requests not yet scheduled, summed over every client
+        self._unscheduled = clients_per_tenant * num_tenants * requests_per_client
         self._tenant_of: List[int] = []
         client = 0
         for tenant in range(num_tenants):
@@ -239,6 +241,7 @@ class ClosedLoopSource(LoadSource):
         )
         is_write = rng.random() < self.write_fraction
         self._remaining[client] -= 1
+        self._unscheduled -= 1
         self._schedule(
             cycle, tenant, addr, is_write, self.deadline_cycles, client=client
         )
@@ -259,7 +262,7 @@ class ClosedLoopSource(LoadSource):
         # Clients blocked on an in-flight request will schedule again from
         # completion feedback; only a drained heap with no credits left is
         # truly done.
-        return not self._heap and all(r == 0 for r in self._remaining)
+        return not self._heap and not self._unscheduled
 
     @property
     def footprint_blocks(self) -> int:

@@ -37,6 +37,8 @@ class TenantQueues:
         self.weights: List[int] = list(weights)
         self.capacity = capacity
         self._queues: List[deque] = [deque() for _ in weights]
+        #: requests queued across all tenants (read-only outside this class)
+        self.size = 0
         self._credit: List[int] = [0] * len(self.weights)
         #: high-water mark per tenant (exported as queue-depth gauges)
         self.peak_depth: List[int] = [0] * len(self.weights)
@@ -49,12 +51,6 @@ class TenantQueues:
     def depth(self, tenant: int) -> int:
         return len(self._queues[tenant])
 
-    def total_depth(self) -> int:
-        return sum(len(q) for q in self._queues)
-
-    def __bool__(self) -> bool:
-        return any(self._queues)
-
     # ------------------------------------------------------------------- push
     def push(self, request: Request) -> bool:
         """Enqueue unless the tenant's bound is hit; False means shed."""
@@ -62,6 +58,7 @@ class TenantQueues:
         if len(queue) >= self.capacity:
             return False
         queue.append(request)
+        self.size += 1
         if len(queue) > self.peak_depth[request.tenant]:
             self.peak_depth[request.tenant] = len(queue)
         return True
@@ -78,21 +75,23 @@ class TenantQueues:
         unbounded priority while blocked.  Returns None when no eligible
         head exists.
         """
-        candidates = [
-            tenant
-            for tenant, queue in enumerate(self._queues)
-            if queue and (eligible is None or eligible(queue[0]))
-        ]
-        if not candidates:
+        if not self.size:
             return None
+        credit = self._credit
+        weights = self.weights
         total = 0
         best = -1
         best_credit = 0
-        for tenant in candidates:
-            self._credit[tenant] += self.weights[tenant]
-            total += self.weights[tenant]
-            if best < 0 or self._credit[tenant] > best_credit:
-                best = tenant
-                best_credit = self._credit[tenant]
-        self._credit[best] -= total
+        for tenant, queue in enumerate(self._queues):
+            if queue and (eligible is None or eligible(queue[0])):
+                weight = weights[tenant]
+                credit[tenant] += weight
+                total += weight
+                if best < 0 or credit[tenant] > best_credit:
+                    best = tenant
+                    best_credit = credit[tenant]
+        if best < 0:
+            return None
+        credit[best] -= total
+        self.size -= 1
         return self._queues[best].popleft()

@@ -17,7 +17,7 @@ the memory bus either.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.cache.set_associative import SetAssociativeCache
 from repro.config import SystemConfig
@@ -44,6 +44,10 @@ class MultiCoreSystem:
 
         if isinstance(backend, (ORAMBackend, ShardedORAMBank)):
             backend.set_llc_probe(self.llc.contains)
+        #: the controllers whose work counters a core's misses move
+        self._workers = (
+            list(backend.shards) if isinstance(backend, ShardedORAMBank) else [backend]
+        )
         #: optional miss-stream tap: when a list is installed via
         #: :meth:`capture_requests_into`, every demand access the backend
         #: sees is appended as ``(addr, now, is_write)`` in issue order --
@@ -88,7 +92,7 @@ class MultiCoreSystem:
         clocks = [0] * self.num_cores
         positions = [0] * self.num_cores
         stats = [
-            {"l1": 0, "llc": 0, "miss": 0}
+            {"l1": 0, "llc": 0, "miss": 0, "demand": 0, "memory": 0, "dummy": 0}
             for _ in range(self.num_cores)
         ]
         # Min-heap over (next event time, core).
@@ -131,11 +135,29 @@ class MultiCoreSystem:
         self._now_global = max(self._now_global, now)
         if self._request_capture is not None:
             self._request_capture.append((addr, now, is_write))
+        # Only a miss moves the shared backend's work counters (the demand
+        # access and any dirty LLC victim it writes back): charge the
+        # deltas to the core that missed.
+        demand, memory, dummy = self._backend_work()
         result = self.backend.demand_access(addr, now, is_write)
         for fill_addr, _prefetched in result.filled:
             self._fill_llc(fill_addr, dirty=is_write and fill_addr == addr)
+        after = self._backend_work()
+        stat["demand"] += after[0] - demand
+        stat["memory"] += after[1] - memory
+        stat["dummy"] += after[2] - dummy
         self._fill_l1(core, addr)
         return result.completion_cycle + self.config.l1.hit_latency
+
+    def _backend_work(self) -> Tuple[int, int, int]:
+        """(demand requests, memory accesses, dummy accesses) so far."""
+        demand = memory = dummy = 0
+        for worker in self._workers:
+            stats = worker.stats
+            demand += stats.demand_requests
+            memory += stats.memory_accesses
+            dummy += stats.dummy_accesses
+        return demand, memory, dummy
 
     def _fill_l1(self, core: int, addr: int) -> None:
         self.l1s[core].insert(addr)
@@ -150,6 +172,9 @@ class MultiCoreSystem:
 
     # --------------------------------------------------------------- results
     def _collect(self, trace: Trace, cycles: int, stat, core: int) -> SimResult:
+        """One core's result: its own hits and misses, and the backend
+        work its misses caused.  Work done at ``finalize`` (dummy slots
+        after the last miss) belongs to no core."""
         return SimResult(
             workload=f"{trace.name}@core{core}",
             scheme="shared",
@@ -158,9 +183,9 @@ class MultiCoreSystem:
             l1_hits=stat["l1"],
             llc_hits=stat["llc"],
             llc_misses=stat["miss"],
-            demand_requests=self.backend.stats.demand_requests,
-            memory_accesses=self.backend.stats.memory_accesses,
-            dummy_accesses=self.backend.stats.dummy_accesses,
+            demand_requests=stat["demand"],
+            memory_accesses=stat["memory"],
+            dummy_accesses=stat["dummy"],
         )
 
 

@@ -109,3 +109,21 @@ class TestMultiCore:
         system.run([even_trace(), odd_trace()])
         assert system.backend.scheme.stats.merges > 0
         system.backend.oram.check_invariants()
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_backend_work_split_between_cores(self, num_shards):
+        # Each core reports the backend work its own misses caused, so the
+        # per-core results add up to the shared backend's totals.
+        def traces():
+            return [make_trace("a", seed=6), make_trace("b", seed=7)]
+
+        system = MultiCoreSystem.build(
+            "dyn", traces(), config=small_config(), num_shards=num_shards
+        )
+        results = system.run(traces())
+        totals = system.backend.stats
+        for field in ("demand_requests", "memory_accesses", "dummy_accesses"):
+            assert sum(getattr(r, field) for r in results) == getattr(totals, field)
+        for result in results:
+            assert result.llc_misses > 0
+            assert result.demand_requests == result.llc_misses

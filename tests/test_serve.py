@@ -52,6 +52,7 @@ class TestTenantQueues:
         assert queues.push(reqs[0]) and queues.push(reqs[1])
         assert not queues.push(reqs[2])
         assert queues.depth(0) == 2
+        assert queues.size == 2
         assert queues.peak_depth[0] == 2
 
     def test_weighted_fair_share(self):
@@ -73,6 +74,7 @@ class TestTenantQueues:
         assert popped.tenant == 1
         assert queues.pop_where(lambda r: r.addr != 7) is None
         assert queues.depth(0) == 1
+        assert queues.size == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
